@@ -7,53 +7,29 @@ while.  The classic two-state Gilbert--Elliott chain captures this with
 four parameters and reduces to Bernoulli loss when the two states have the
 same loss probability.
 
-Models are stateful per link and draw exclusively from the injected
-``random.Random`` (the shared ``"loss"`` stream), so runs remain
-deterministic and replayable.  ``Link.transmit`` / ``Network.send_oob``
-keep their original inline Bernoulli draw when no model is installed --
-faults-disabled runs are byte-identical to the legacy behaviour.
+Models are stateful per link (or per link direction) and draw exclusively
+from the injected ``random.Random`` -- the shared ``"loss"`` stream, or a
+direction's own stream under the per-edge discipline -- so runs remain
+deterministic and replayable.  A model is the loss component of a link
+direction or of the out-of-band channel, in place of the network's shared
+:class:`BernoulliLoss`; the ``LossModel`` protocol and ``BernoulliLoss``
+live with the links in :mod:`repro.network.link` and are re-exported here.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Protocol
 
+from repro.network.link import BernoulliLoss, LossModel
 
-class LossModel(Protocol):
-    """Decides, per transmission, whether the packet is lost.
-
-    Implementations may keep per-link state (e.g. the Gilbert--Elliott
-    channel state) but must derive all randomness from the ``rng`` handed
-    in, which the network wires to the shared ``"loss"`` stream.
-    """
-
-    def should_drop(self, rng: random.Random) -> bool:
-        """Advance the model one transmission; True means drop it."""
-        ...
-
-
-class BernoulliLoss:
-    """The paper's i.i.d. loss model: drop with fixed probability ε.
-
-    Behaviourally identical to the inline ``error_rate`` draw in
-    ``Link.transmit`` (including consuming no randomness when ε == 0), so
-    installing it explicitly does not perturb the draw sequence.
-    """
-
-    __slots__ = ("error_rate",)
-
-    def __init__(self, error_rate: float) -> None:
-        if not 0.0 <= error_rate <= 1.0:
-            raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
-        self.error_rate = error_rate
-
-    def should_drop(self, rng: random.Random) -> bool:
-        return self.error_rate > 0.0 and rng.random() < self.error_rate
-
-    def __repr__(self) -> str:
-        return f"BernoulliLoss(error_rate={self.error_rate})"
+__all__ = [
+    "BernoulliLoss",
+    "GilbertElliottConfig",
+    "GilbertElliottFactory",
+    "GilbertElliottLoss",
+    "LossModel",
+]
 
 
 @dataclass(frozen=True)

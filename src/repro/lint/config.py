@@ -14,7 +14,7 @@ Recognised keys::
     # enable = [...] re-enables codes a broader entry (or `ignore`) removed
 
     [tool.repro-lint.hot-path]             # REP007 registry
-    methods = ["Link._transmit_*"]         # Class.method fnmatch patterns
+    methods = ["Link.transmit"]            # Class.method fnmatch patterns
     # guards = ["_injector", ...]          # banned per-event config branches
     #                                      # (defaults to the built-in list)
 

@@ -6,40 +6,82 @@ between two dispatchers:
 * **Serialization**: a message of ``size_bits`` occupies the sender side of
   the link for ``size_bits / bandwidth_bps`` seconds; messages queue FIFO
   per direction (each direction has its own transmitter).
-* **Loss**: each transmission is dropped independently with probability
-  ``error_rate`` (the paper's link error rate ε), or by a stateful
-  :class:`~repro.faults.loss.LossModel` when one is installed.  A dropped
-  message still occupies the transmitter -- the bits are sent, they just
-  arrive corrupted and are discarded, as on a real lossy channel.
+* **Loss**: each direction owns a loss component -- ``None`` for a lossless
+  direction, or a :class:`LossModel` together with the random stream it
+  draws from: :class:`BernoulliLoss` for the paper's i.i.d. ε, or a
+  stateful model such as Gilbert--Elliott burst loss.  A dropped message
+  still occupies the transmitter -- the bits are sent, they just arrive
+  corrupted and are discarded, as on a real lossy channel.
 * **Propagation**: a fixed ``propagation_delay`` is added after
   serialization completes.
 * **Outage**: a link can be taken ``down`` by the reconfiguration engine;
   transmissions attempted while down are lost (and counted as drops).
 
-Zero-cost hooks
----------------
-``transmit`` and ``_deliver`` are *instance attributes bound at setup time*,
-not methods: the constructor picks the lossless, Bernoulli, or loss-model
-transmit variant and the fast or crash-checked delivery variant once, so the
-per-message hot path never branches on configuration that cannot change
-mid-run (see docs/PERFORMANCE.md, "Setup-time method binding").  A fault-free
-link therefore pays nothing for the fault machinery -- no ``loss_model is
-None`` test, no ``error_rate > 0`` test, no down-destination lookup.  The
-only mutation that can change a variant, :meth:`set_error_rate`, rebinds it.
+Components, not variants
+------------------------
+There is one :meth:`Link.transmit` and one :meth:`Link._deliver`.  What
+differs between links is data fixed at setup: each direction's loss
+component and stream, and the link's emission -- the simulator's
+``schedule_call_at``, or the seam export of a sharded run
+(:meth:`Link.mark_boundary`).  Stateless components are built once per
+network and shared by every link; a lossless direction draws nothing.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Protocol
 
 from repro.network.message import Message
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
-    from repro.faults.loss import LossModel
     from repro.network.network import Network
 
-__all__ = ["Link", "LinkStats"]
+__all__ = ["BernoulliLoss", "Link", "LinkStats", "LossModel", "bernoulli"]
+
+#: ``emit(arrival_time, deliver, message, from_node, to_node)``: hands an
+#: arrival to the calendar (``Simulator.schedule_call_at``) or to a seam.
+Emit = Callable[..., None]
+
+
+class LossModel(Protocol):
+    """Decides, per transmission, whether the packet is lost.
+
+    Implementations may keep per-link state (e.g. the Gilbert--Elliott
+    channel state) but must derive all randomness from the ``rng`` handed
+    in: the shared ``"loss"`` stream, or a link direction's own stream
+    under the per-edge discipline.
+    """
+
+    def should_drop(self, rng: random.Random) -> bool:
+        """Advance the model one transmission; True means drop it."""
+        ...
+
+
+class BernoulliLoss:
+    """The paper's i.i.d. loss model: drop with fixed probability ε.
+
+    Stateless, so one instance serves every link of a network.  Consumes
+    no randomness when ε == 0.
+    """
+
+    __slots__ = ("error_rate",)
+
+    def __init__(self, error_rate: float) -> None:
+        if not 0.0 <= error_rate <= 1.0:
+            raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
+        self.error_rate = error_rate
+
+    def should_drop(self, rng: random.Random) -> bool:
+        return self.error_rate > 0.0 and rng.random() < self.error_rate
+
+    def __repr__(self) -> str:
+        return f"BernoulliLoss(error_rate={self.error_rate})"
+
+
+def bernoulli(error_rate: float) -> Optional[BernoulliLoss]:
+    """The loss component for ε: ``None`` (no draw at all) when lossless."""
+    return BernoulliLoss(error_rate) if error_rate > 0.0 else None
 
 
 class LinkStats:
@@ -68,13 +110,28 @@ class LinkStats:
         )
 
 
+class _Direction:
+    """One direction of a link: its transmitter, receiver and loss."""
+
+    __slots__ = ("busy_until", "peer", "loss", "rng")
+
+    def __init__(
+        self, peer: int, loss: Optional[LossModel], rng: random.Random
+    ) -> None:
+        self.busy_until = 0.0
+        self.peer = peer
+        self.loss = loss
+        self.rng = rng
+
+
 class Link:
     """A duplex link between two nodes of the overlay tree.
 
     Parameters
     ----------
     network:
-        Owning network (provides the simulator and delivery hooks).
+        Owning network (provides the simulator, the receivers and the
+        traffic observer).
     node_a, node_b:
         Endpoint node ids.
     bandwidth_bps:
@@ -86,8 +143,9 @@ class Link:
     rng:
         Random stream used for loss draws.
     loss_model:
-        Optional stateful loss model (e.g. Gilbert--Elliott burst loss);
-        when set, it replaces the inline Bernoulli ``error_rate`` draw.
+        Loss component shared by both directions; defaults to
+        ``BernoulliLoss(error_rate)`` (``None`` when ε = 0).  A stateful
+        model (e.g. Gilbert--Elliott burst loss) replaces the ε draw.
     dir_rngs:
         Per-*direction* loss streams keyed by sender id (the "per-edge"
         loss discipline): when set, loss draws consume the sender
@@ -99,12 +157,6 @@ class Link:
         Per-direction loss models keyed by sender id; accompanies
         ``dir_rngs`` under Gilbert--Elliott plans (burst state is per
         direction for the same reason the stream is).
-
-    ``transmit(from_node, message) -> bool`` and ``_deliver`` are bound
-    per-instance in the constructor (see the module docstring); the
-    transmit variants share semantics and differ only in the loss decision
-    (and, for boundary links of a sharded run, in handing the arrival to
-    the seam outbox instead of the local calendar).
     """
 
     __slots__ = (
@@ -114,20 +166,12 @@ class Link:
         "bandwidth_bps",
         "propagation_delay",
         "error_rate",
-        "rng",
-        "loss_model",
-        "dir_rngs",
-        "dir_models",
         "up",
         "stats",
-        "_busy_until",
-        "_peer",
-        # Seam outbox of a sharded run; None on every non-boundary link.
-        "_outbox",
-        # Setup-time-bound hot-path entry points (instance attributes so the
-        # per-message path never branches on static configuration).
-        "transmit",
-        "_deliver",
+        # Sender id -> _Direction.
+        "_dirs",
+        # Where arrivals go: the calendar, or a seam on a boundary link.
+        "_emit",
     )
 
     def __init__(
@@ -139,7 +183,7 @@ class Link:
         propagation_delay: float,
         error_rate: float,
         rng: random.Random,
-        loss_model: Optional["LossModel"] = None,
+        loss_model: Optional[LossModel] = None,
         dir_rngs: Optional[dict] = None,
         dir_models: Optional[dict] = None,
     ) -> None:
@@ -155,76 +199,50 @@ class Link:
         self.bandwidth_bps = bandwidth_bps
         self.propagation_delay = propagation_delay
         self.error_rate = error_rate
-        self.rng = rng
-        self.loss_model = loss_model
-        self.dir_rngs = dir_rngs
-        self.dir_models = dir_models
         self.up = True
         self.stats = LinkStats()
-        # Per-direction transmitter availability, keyed by sender id.
-        self._busy_until = {node_a: 0.0, node_b: 0.0}
-        # Sender id -> opposite endpoint, precomputed for the hot path.
-        self._peer = {node_a: node_b, node_b: node_a}
-        self._outbox: Optional[list] = None
-        self._deliver: Callable[[Message, int, int], None] = (
-            self._deliver_checked if network.fault_hooks else self._deliver_fast
-        )
-        self.transmit: Callable[[int, Message], bool]
-        self._bind_transmit()
+        if dir_models is None:
+            shared = loss_model if loss_model is not None else bernoulli(error_rate)
+            dir_models = {node_a: shared, node_b: shared}
+        if dir_rngs is None:
+            dir_rngs = {node_a: rng, node_b: rng}
+        self._dirs = {
+            node_a: _Direction(node_b, dir_models[node_a], dir_rngs[node_a]),
+            node_b: _Direction(node_a, dir_models[node_b], dir_rngs[node_b]),
+        }
+        self._emit: Emit = network._schedule_at
 
-    def _bind_transmit(self) -> None:
-        """Select the transmit variant for the current loss configuration."""
-        if self._outbox is not None:
-            if self.dir_models is not None:
-                self.transmit = self._transmit_boundary_model
-            elif self.error_rate > 0.0:
-                self.transmit = self._transmit_boundary_bernoulli
-            else:
-                self.transmit = self._transmit_boundary_lossless
-        elif self.dir_models is not None:
-            self.transmit = self._transmit_model_per_edge
-        elif self.loss_model is not None:
-            self.transmit = self._transmit_model
-        elif self.dir_rngs is not None and self.error_rate > 0.0:
-            self.transmit = self._transmit_bernoulli_per_edge
-        elif self.error_rate > 0.0:
-            self.transmit = self._transmit_bernoulli
-        else:
-            self.transmit = self._transmit_lossless
-
-    def mark_boundary(self, outbox: list) -> None:
+    def mark_boundary(self, emit: Emit) -> None:
         """Turn this link into a shard-boundary link.
 
         Transmissions keep the exact serial semantics (counters, busy
-        queue, loss draw) up to the point the delivery would be scheduled;
-        instead of entering the local calendar the arrival is appended to
-        ``outbox`` as ``(arrival_time, kind, from_node, to_node, payload,
-        size_bits, sender)`` for the seam to route.  Loss draws on a
-        boundary link always use the per-direction streams -- sharded runs
-        with loss require the per-edge discipline (config validation), so
-        ``dir_rngs``/``dir_models`` are present whenever draws happen.
+        queue, loss draw); only the arrival goes to ``emit`` instead of
+        the local calendar.  The two directions of a cut link run in
+        different workers, so a lossy link whose directions share one
+        stream cannot reproduce the serial draws: sharded runs with loss
+        require ``loss_discipline='per-edge'``.
         """
-        if self.error_rate > 0.0 and self.dir_rngs is None:
+        a, b = self._dirs[self.node_a], self._dirs[self.node_b]
+        if (a.loss is not None or b.loss is not None) and a.rng is b.rng:
             raise ValueError(
                 "boundary link with loss needs per-direction streams "
                 "(loss_discipline='per-edge')"
             )
-        self._outbox = outbox
-        self._bind_transmit()
+        self._emit = emit
 
     def set_error_rate(self, error_rate: float) -> None:
-        """Change ε and rebind the transmit variant.
+        """Change ε mid-run (tests use it to open and close loss windows).
 
-        The loss decision is compiled into the bound ``transmit`` variant,
-        so mutating ``error_rate`` directly would not take effect; this is
-        the supported way to change it (tests use it to open and close loss
-        windows).  Ignored for the loss decision while a ``loss_model`` is
-        installed.
+        Directions whose loss is a stateful model keep it: ε only governs
+        the Bernoulli directions.
         """
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
         self.error_rate = error_rate
-        self._bind_transmit()
+        loss = bernoulli(error_rate)
+        for direction in self._dirs.values():
+            if direction.loss is None or isinstance(direction.loss, BernoulliLoss):
+                direction.loss = loss
 
     # ------------------------------------------------------------------
     def other_end(self, node: int) -> int:
@@ -239,18 +257,13 @@ class Link:
         return (self.node_a, self.node_b)
 
     # ------------------------------------------------------------------
-    # transmit variants -- ``self.transmit`` is bound to exactly one of
-    # these.  The shared preamble/postamble is duplicated on purpose: the
-    # whole point is that each variant is straight-line code with no
-    # configuration branches (docs/PERFORMANCE.md).
-    # ------------------------------------------------------------------
-    def _transmit_lossless(self, from_node: int, message: Message) -> bool:
-        """Transmit with ε = 0 and no loss model: no loss draw at all.
+    def transmit(self, from_node: int, message: Message) -> bool:
+        """Send ``message`` from ``from_node`` to the opposite endpoint.
 
-        Returns ``True`` if the message was *enqueued for transmission*,
-        ``False`` if the link is down.  The caller is charged for the send
-        in either case -- a dispatcher cannot know the link state before
-        trying.
+        Returns ``True`` if the message was *enqueued for transmission*
+        (the loss draw may still drop it), ``False`` if the link is down.
+        The caller is charged for the send in either case -- a dispatcher
+        cannot know the link state before trying.
         """
         network = self.network
         observer = network.observer
@@ -262,303 +275,36 @@ class Link:
             stats.dropped_down += 1
             observer.count_drop(kind)
             return False
-        sim = network.sim
+        direction = self._dirs[from_node]
         serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now  # raw clock slot; the ``now`` property costs a call
+        start = direction.busy_until
+        now = network.sim._now  # raw clock slot; the ``now`` property costs a call
         if now > start:
             start = now
         done = start + serialization
-        busy_until[from_node] = done
+        direction.busy_until = done
         stats.busy_time += serialization
-        # Deliveries are never cancelled, so the handle-free fast path
-        # avoids one object allocation per transmission.
-        sim.schedule_call_at(
+        loss = direction.loss
+        if loss is not None and loss.should_drop(direction.rng):
+            stats.lost += 1
+            observer.count_drop(kind)
+            return True
+        self._emit(
             done + self.propagation_delay,
             self._deliver,
             message,
             from_node,
-            self._peer[from_node],
+            direction.peer,
         )
         return True
 
-    def _transmit_bernoulli(self, from_node: int, message: Message) -> bool:
-        """Transmit with the paper's i.i.d. Bernoulli(ε) loss draw."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.rng.random() < self.error_rate:
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
+    def _deliver(self, message: Message, from_node: int, to_node: int) -> None:
+        """Hand an arrived message to its receiver.
 
-    def _transmit_model(self, from_node: int, message: Message) -> bool:
-        """Transmit through a stateful loss model (burst loss injection)."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.loss_model.should_drop(self.rng):
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
-    def _transmit_bernoulli_per_edge(self, from_node: int, message: Message) -> bool:
-        """Bernoulli(ε) loss drawn from the sender direction's own stream."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_rngs[from_node].random() < self.error_rate:
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
-    def _transmit_model_per_edge(self, from_node: int, message: Message) -> bool:
-        """Per-direction loss model fed by the per-direction stream."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        sim = network.sim
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_models[from_node].should_drop(self.dir_rngs[from_node]):
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        sim.schedule_call_at(
-            done + self.propagation_delay,
-            self._deliver,
-            message,
-            from_node,
-            self._peer[from_node],
-        )
-        return True
-
-    # ------------------------------------------------------------------
-    # boundary variants -- bound by ``mark_boundary`` on the cut links of
-    # a sharded run.  Identical to their serial counterparts up to the
-    # scheduling decision: the arrival is exported at *send* time (the
-    # conservative-lookahead protocol guarantees arrival >= the current
-    # synchronization horizon, so the receiving shard always gets it in
-    # time to schedule it in its own calendar).
-    # ------------------------------------------------------------------
-    def _transmit_boundary_lossless(self, from_node: int, message: Message) -> bool:
-        """Boundary transmit with ε = 0 and no loss model."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = network.sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        self._outbox.append((
-            done + self.propagation_delay,
-            kind,
-            from_node,
-            self._peer[from_node],
-            message.payload,
-            message.size_bits,
-            message.sender,
-        ))
-        return True
-
-    def _transmit_boundary_bernoulli(self, from_node: int, message: Message) -> bool:
-        """Boundary transmit with a per-direction Bernoulli(ε) draw."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = network.sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_rngs[from_node].random() < self.error_rate:
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        self._outbox.append((
-            done + self.propagation_delay,
-            kind,
-            from_node,
-            self._peer[from_node],
-            message.payload,
-            message.size_bits,
-            message.sender,
-        ))
-        return True
-
-    def _transmit_boundary_model(self, from_node: int, message: Message) -> bool:
-        """Boundary transmit through the per-direction loss model."""
-        network = self.network
-        observer = network.observer
-        stats = self.stats
-        kind = message.kind
-        stats.sent += 1
-        observer.count_send(kind, from_node)
-        if not self.up:
-            stats.dropped_down += 1
-            observer.count_drop(kind)
-            return False
-        serialization = message.size_bits / self.bandwidth_bps
-        busy_until = self._busy_until
-        start = busy_until[from_node]
-        now = network.sim._now
-        if now > start:
-            start = now
-        done = start + serialization
-        busy_until[from_node] = done
-        stats.busy_time += serialization
-        if self.dir_models[from_node].should_drop(self.dir_rngs[from_node]):
-            stats.lost += 1
-            observer.count_drop(kind)
-            return True
-        self._outbox.append((
-            done + self.propagation_delay,
-            kind,
-            from_node,
-            self._peer[from_node],
-            message.payload,
-            message.size_bits,
-            message.sender,
-        ))
-        return True
-
-    # ------------------------------------------------------------------
-    # delivery variants -- ``self._deliver`` is bound to exactly one.
-    # ------------------------------------------------------------------
-    def _deliver_fast(self, message: Message, from_node: int, to_node: int) -> None:
-        """Delivery without crash checks (no fault injection configured)."""
-        # A link that went down while the message was in flight also loses
-        # it: the physical channel is gone.  This is a *dynamic* protocol
-        # condition (reconfiguration), not a configuration flag, so the test
-        # stays even on the fast path.
-        network = self.network
-        if not self.up:
-            self.stats.dropped_down += 1
-            network.observer.count_drop(message.kind)
-            return
-        self.stats.delivered += 1
-        # Network.deliver inlined (count + hand to the node): this runs once
-        # per successful link transmission and the extra frame is measurable.
-        network.observer.count_deliver(message.kind)
-        network._nodes[to_node].receive(message, from_node)
-
-    def _deliver_checked(
-        self, message: Message, from_node: int, to_node: int
-    ) -> None:
-        """Delivery with crashed-destination accounting (fault hooks on)."""
+        A link that went down while the message was in flight loses it:
+        the physical channel is gone.  A destination that crashed (or
+        vanished) meanwhile makes it a counted drop, never a KeyError.
+        """
         network = self.network
         if not self.up:
             self.stats.dropped_down += 1
@@ -566,8 +312,6 @@ class Link:
             return
         node = network._receivers.get(to_node)
         if node is None:
-            # Destination crashed (or vanished) while the message was in
-            # flight: counted drop, never a KeyError.
             network.observer.count_drop(message.kind)
             network.down_drops += 1
             return

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterable,
@@ -23,13 +22,10 @@ from typing import (
     Tuple,
 )
 
-from repro.network.link import Link
+from repro.network.link import Emit, Link, LossModel, bernoulli
 from repro.network.message import Message, MessageKind
 from repro.network.node import Node
 from repro.sim.engine import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import, avoids a cycle
-    from repro.faults.loss import LossModel
 
 __all__ = ["Network", "NetworkConfig", "TrafficObserver"]
 
@@ -90,7 +86,7 @@ class Network:
     loss_model_factory:
         Optional ``(node_a, node_b) -> LossModel`` called once per link;
         installs a stateful loss model (e.g. Gilbert--Elliott) in place of
-        the inline Bernoulli ``error_rate`` draw.  Under the per-edge
+        the shared Bernoulli ``error_rate`` component.  Under the per-edge
         discipline (``link_rng_factory`` set) it is called once per link
         *direction* instead, as ``factory(sender, receiver)``.
     link_rng_factory:
@@ -101,16 +97,8 @@ class Network:
         of the global transmission order.  Required by sharded execution;
         see ``SimulationConfig.loss_discipline``.
     oob_loss_model:
-        Optional shared loss model for the out-of-band channel, replacing
-        the Bernoulli ``oob_error_rate`` draw.
-    fault_hooks:
-        ``True`` when a fault injector may crash nodes mid-run.  The flag
-        selects, once at construction, the crash-aware variants of the
-        per-message delivery paths (``Link._deliver``, ``send_oob``, the
-        out-of-band delivery callback); with the default ``False`` those
-        paths carry zero fault-accounting work and :meth:`set_node_down`
-        refuses to run (see docs/PERFORMANCE.md, "Setup-time method
-        binding").
+        Optional stateful loss model for the out-of-band channel, replacing
+        the Bernoulli ``oob_error_rate`` component.
     """
 
     def __init__(
@@ -119,10 +107,9 @@ class Network:
         config: NetworkConfig,
         loss_rng: random.Random,
         observer: Optional[TrafficObserver] = None,
-        loss_model_factory: Optional[Callable[[int, int], "LossModel"]] = None,
+        loss_model_factory: Optional[Callable[[int, int], LossModel]] = None,
         link_rng_factory: Optional[Callable[[int, int], random.Random]] = None,
-        oob_loss_model: Optional["LossModel"] = None,
-        fault_hooks: bool = False,
+        oob_loss_model: Optional[LossModel] = None,
     ) -> None:
         self.sim = sim
         self.config = config
@@ -131,11 +118,10 @@ class Network:
         self._loss_model_factory = loss_model_factory
         self._link_rng_factory = link_rng_factory
         self._oob_loss_model = oob_loss_model
-        self.fault_hooks = fault_hooks
         self._nodes: Dict[int, Node] = {}
         # Nodes currently able to receive: ``_nodes`` minus crashed nodes.
-        # Crash-aware delivery paths do a single ``.get`` here, so a down
-        # (or vanished) destination costs nothing extra on the healthy path.
+        # Delivery does a single ``.get`` here, so a down (or vanished)
+        # destination costs nothing extra on the healthy path.
         self._receivers: Dict[int, Node] = {}
         self._down: Set[int] = set()
         #: Messages dropped because their destination was down or gone.
@@ -143,21 +129,17 @@ class Network:
         # adjacency: node id -> {neighbor id -> Link}
         self._adjacency: Dict[int, Dict[int, Link]] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
-        # Setup-time binding of the out-of-band hot path: pick the variant
-        # matching the static configuration so the per-message path never
-        # re-tests it.  A stateful oob loss model implies the checked path
-        # (loss models are a fault-injection feature).
-        self._deliver_oob: Callable[[Message, int, int], None]
-        self.send_oob: Callable[[int, int, Message], bool]
-        if fault_hooks or oob_loss_model is not None:
-            self._deliver_oob = self._deliver_oob_checked
-            self.send_oob = self._send_oob_checked
-        else:
-            self._deliver_oob = self._deliver_oob_fast
-            if config.oob_error_rate > 0.0:
-                self.send_oob = self._send_oob_bernoulli
-            else:
-                self.send_oob = self._send_oob_lossless
+        # Components built once and shared by every link: the calendar
+        # emission and the Bernoulli loss of ε.
+        self._schedule_at: Emit = sim.schedule_call_at
+        self._link_loss = bernoulli(config.error_rate)
+        # Out-of-band loss and emission (a seam under sharded execution).
+        self._oob_loss: Optional[LossModel] = (
+            oob_loss_model
+            if oob_loss_model is not None
+            else bernoulli(config.oob_error_rate)
+        )
+        self._oob_emit: Emit = self._schedule_at
 
     # ------------------------------------------------------------------
     # Node / link management
@@ -180,12 +162,6 @@ class Network:
         is discarded on arrival as a counted drop, like frames sent to a
         powered-off host.
         """
-        if not self.fault_hooks:
-            raise RuntimeError(
-                "set_node_down requires fault hooks: construct the Network "
-                "with fault_hooks=True (the scenario builder does this "
-                "automatically when a FaultPlan is configured)"
-            )
         if node_id not in self._nodes:
             raise KeyError(f"unknown node {node_id}")
         if down:
@@ -225,37 +201,29 @@ class Network:
             raise ValueError(f"link {key} already exists")
         factory = self._loss_model_factory
         rng_factory = self._link_rng_factory
+        loss_model: Optional[LossModel] = self._link_loss
+        dir_rngs: Optional[dict] = None
+        dir_models: Optional[dict] = None
         if rng_factory is not None:
             # Per-edge discipline: each direction owns its stream (and its
             # loss model, when a factory is configured).
             dir_rngs = {a: rng_factory(a, b), b: rng_factory(b, a)}
-            dir_models = (
-                {a: factory(a, b), b: factory(b, a)}
-                if factory is not None
-                else None
-            )
-            link = Link(
-                self,
-                a,
-                b,
-                bandwidth_bps=self.config.bandwidth_bps,
-                propagation_delay=self.config.propagation_delay,
-                error_rate=self.config.error_rate,
-                rng=self._loss_rng,
-                dir_rngs=dir_rngs,
-                dir_models=dir_models,
-            )
-        else:
-            link = Link(
-                self,
-                a,
-                b,
-                bandwidth_bps=self.config.bandwidth_bps,
-                propagation_delay=self.config.propagation_delay,
-                error_rate=self.config.error_rate,
-                rng=self._loss_rng,
-                loss_model=factory(a, b) if factory is not None else None,
-            )
+            if factory is not None:
+                dir_models = {a: factory(a, b), b: factory(b, a)}
+        elif factory is not None:
+            loss_model = factory(a, b)
+        link = Link(
+            self,
+            a,
+            b,
+            bandwidth_bps=self.config.bandwidth_bps,
+            propagation_delay=self.config.propagation_delay,
+            error_rate=self.config.error_rate,
+            rng=self._loss_rng,
+            loss_model=loss_model,
+            dir_rngs=dir_rngs,
+            dir_models=dir_models,
+        )
         self._links[key] = link
         self._adjacency[a][b] = link
         self._adjacency[b][a] = link
@@ -320,159 +288,63 @@ class Network:
     def set_oob_error_rate(self, rate: float) -> None:
         """Change the out-of-band Bernoulli loss rate mid-run.
 
-        The loss decision is compiled into the bound ``send_oob`` variant
-        (see ``__init__``), so replacing ``config`` directly would not take
-        effect on the fast path; this setter swaps the config *and* rebinds
-        the variant.  While the checked variant is bound (fault hooks or a
-        stateful oob loss model) no rebinding is needed -- it reads the
-        config dynamically.
+        A stateful out-of-band loss model, when installed, keeps deciding
+        on its own; only the config changes then.
         """
         if not 0.0 <= rate <= 1.0:
             raise ValueError(f"oob_error_rate must be in [0, 1], got {rate}")
         self.config = replace(self.config, oob_error_rate=rate)
-        if self.fault_hooks or self._oob_loss_model is not None:
-            return
-        self.send_oob = (
-            self._send_oob_bernoulli if rate > 0.0 else self._send_oob_lossless
-        )
+        if self._oob_loss_model is None:
+            self._oob_loss = bernoulli(rate)
 
-    def enable_shard_oob_export(self, is_local, outbox: list) -> None:
-        """Route out-of-band sends to foreign nodes into the seam outbox.
+    def mark_oob_boundary(self, emit: Emit) -> None:
+        """Route out-of-band arrivals through ``emit`` (a sharded run's seam).
 
-        Installed by the sharded runtime on each worker's network: sends to
-        local destinations keep the variant bound at construction; sends to
-        nodes owned by another shard are charged at the sender (exactly as
-        serial would) and exported as ``(arrival_time, kind, from_node,
-        to_node, payload, size_bits, sender)``.  Sharded configs forbid
-        out-of-band loss (config validation), so a foreign send never draws
-        from any stream -- the serial and exported paths stay draw-for-draw
-        identical.
+        Sends keep the serial semantics up to the arrival: the sender is
+        charged and the loss decision made exactly as serial would.
+        Sharded configs forbid out-of-band loss (config validation), so no
+        send draws from the shared stream.
         """
-        inner = self.send_oob
-        observer = self.observer
-        sim = self.sim
-        latency = self.config.oob_latency
+        self._oob_emit = emit
 
-        def send_oob_shard(from_node: int, to_node: int, message: Message) -> bool:
-            if is_local[to_node]:
-                return inner(from_node, to_node, message)
-            observer.count_send(message.kind, from_node)
-            outbox.append((
-                sim._now + latency,
-                message.kind,
-                from_node,
-                to_node,
-                message.payload,
-                message.size_bits,
-                message.sender,
-            ))
-            return True
-
-        self.send_oob = send_oob_shard
-
-    # ------------------------------------------------------------------
-    # Out-of-band channel -- ``self.send_oob`` is bound at construction to
-    # exactly one of the variants below (see __init__); they share the
-    # docstring semantics of the checked variant and differ only in which
-    # static checks they can skip.
-    # ------------------------------------------------------------------
-    def _send_oob_checked(self, from_node: int, to_node: int, message: Message) -> bool:
+    def send_oob(self, from_node: int, to_node: int, message: Message) -> bool:
         """Send over the out-of-band unicast channel (direct, UDP-like).
 
         The channel is independent of the tree: constant latency, optional
-        Bernoulli loss, no queueing (recovery traffic is small compared to
-        the 10 Mbit/s links, and the paper treats this path as out of band).
+        loss, no queueing (recovery traffic is small compared to the
+        10 Mbit/s links, and the paper treats this path as out of band).
         """
-        self.observer.count_send(message.kind, from_node)
+        observer = self.observer
+        kind = message.kind
+        observer.count_send(kind, from_node)
         if to_node not in self._nodes:
             # Unknown destination (e.g. stale peer knowledge): counted drop,
             # never an exception -- UDP to a vanished host just disappears.
-            self.observer.count_drop(message.kind)
+            observer.count_drop(kind)
             self.down_drops += 1
             return False
-        oob_model = self._oob_loss_model
-        if oob_model is not None:
-            if oob_model.should_drop(self._loss_rng):
-                self.observer.count_drop(message.kind)
-                return True
-        elif (
-            self.config.oob_error_rate > 0.0
-            and self._loss_rng.random() < self.config.oob_error_rate
-        ):
-            self.observer.count_drop(message.kind)
+        loss = self._oob_loss
+        if loss is not None and loss.should_drop(self._loss_rng):
+            observer.count_drop(kind)
             return True
-        self.sim.schedule_call(
-            self.config.oob_latency, self._deliver_oob, message, from_node, to_node
+        self._oob_emit(
+            self.sim._now + self.config.oob_latency,
+            self._deliver_oob,
+            message,
+            from_node,
+            to_node,
         )
         return True
 
-    def _send_oob_bernoulli(
-        self, from_node: int, to_node: int, message: Message
-    ) -> bool:
-        """Out-of-band send, fault-free network, Bernoulli oob loss.
-
-        Without fault injection nodes never leave ``_nodes``, and recovery
-        peers are drawn from the membership, so the unknown-destination
-        check is dead code here.
-        """
-        self.observer.count_send(message.kind, from_node)
-        if self._loss_rng.random() < self.config.oob_error_rate:
-            self.observer.count_drop(message.kind)
-            return True
-        self.sim.schedule_call(
-            self.config.oob_latency, self._deliver_oob, message, from_node, to_node
-        )
-        return True
-
-    def _send_oob_lossless(
-        self, from_node: int, to_node: int, message: Message
-    ) -> bool:
-        """Out-of-band send, fault-free network, lossless oob channel."""
-        self.observer.count_send(message.kind, from_node)
-        self.sim.schedule_call(
-            self.config.oob_latency, self._deliver_oob, message, from_node, to_node
-        )
-        return True
-
-    # ------------------------------------------------------------------
-    # Delivery plumbing (called by links)
-    # ------------------------------------------------------------------
-    def deliver(self, message: Message, from_node: int, to_node: int) -> None:
-        """Crash-aware delivery entry point (kept for API compatibility;
-        links bind the matching variant directly)."""
+    def _deliver_oob(self, message: Message, from_node: int, to_node: int) -> None:
         node = self._receivers.get(to_node)
         if node is None:
-            # Destination crashed (or was removed) while the message was in
-            # flight: counted drop, never a KeyError.
-            self.observer.count_drop(message.kind)
-            self.down_drops += 1
-            return
-        self.observer.count_deliver(message.kind)
-        node.receive(message, from_node)
-
-    def _deliver_oob_checked(
-        self, message: Message, from_node: int, to_node: int
-    ) -> None:
-        node = self._receivers.get(to_node)
-        if node is None:
+            # Destination crashed while the message was in flight.
             self.observer.count_drop(message.kind)
             self.down_drops += 1
             return
         self.observer.count_deliver(message.kind)
         node.receive_oob(message, from_node)
-
-    def _deliver_oob_fast(
-        self, message: Message, from_node: int, to_node: int
-    ) -> None:
-        self.observer.count_deliver(message.kind)
-        self._nodes[to_node].receive_oob(message, from_node)
-
-    # Counting hooks used by Link ---------------------------------------
-    def count_send(self, kind: MessageKind, node_id: int) -> None:
-        self.observer.count_send(kind, node_id)
-
-    def count_drop(self, kind: MessageKind) -> None:
-        self.observer.count_drop(kind)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Network nodes={len(self._nodes)} links={len(self._links)}>"

@@ -340,7 +340,7 @@ class Dispatcher:
             return
         node_id = self.node_id
         # Straight to the link layer: ``Network.send`` is two dict lookups
-        # plus a dispatch on the bound ``link.transmit`` -- going through it
+        # plus a call of ``link.transmit`` -- going through it
         # costs one extra frame per copy on the hottest path in the whole
         # simulator.  The adjacency row dict is created once per node and
         # mutated in place by reconfiguration, so reading it here always

@@ -116,9 +116,6 @@ class Simulation:
             observer=self.counters,
             loss_model_factory=self._link_loss_factory,
             oob_loss_model=self._oob_loss_model,
-            # Crash-aware delivery variants are only bound when a fault plan
-            # exists; otherwise the hot path carries zero fault accounting.
-            fault_hooks=plan is not None,
             # The per-edge discipline gives every link *direction* a private
             # loss stream (and burst-chain state), so a direction's draw
             # sequence depends only on its own traffic -- the property that

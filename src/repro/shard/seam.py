@@ -1,9 +1,10 @@
 """Serialize and rebuild messages crossing the shard seam.
 
-Exports are produced at *send* time by the boundary hooks (cut links bind
-the ``_transmit_boundary_*`` variants, the out-of-band channel wraps
-``send_oob``; both charge the sender exactly as serial would) as plain
-tuples::
+Exports are produced at *send* time by :func:`seam_emit`, the emission
+that cut links (``Link.mark_boundary``) and the out-of-band channel
+(``Network.mark_oob_boundary``) use in place of the calendar.  The
+sender is charged and the loss decided exactly as serial would; an
+arrival at a node another shard owns becomes a plain tuple::
 
     (arrival_time, kind, from_node, to_node, payload, size_bits, sender)
 
@@ -13,12 +14,12 @@ shard can schedule it in its own calendar without ever rolling back.
 
 Imports rebuild the receiving side of the serial hot path:
 
-* Link-borne kinds schedule the receiving replica link's bound
-  ``_deliver`` variant at the arrival time -- exactly what the sending
-  side's ``schedule_call_at`` would have done in one process, including
-  the link-down and crashed-destination checks *at arrival* against the
+* Link-borne kinds schedule the receiving replica link's ``_deliver``
+  at the arrival time -- exactly what the sending side's
+  ``schedule_call_at`` would have done in one process, including the
+  link-down and crashed-destination checks *at arrival* against the
   receiver's (replicated) network state.
-* Out-of-band kinds schedule the network's bound ``_deliver_oob``.
+* Out-of-band kinds schedule the network's ``_deliver_oob``.
 * Events embedded in payloads (the EVENT envelope's ``(event, route)``
   pair and the bare OOB_EVENT retransmission) are rebuilt as fresh
   objects with their content re-interned in the *destination* shard's
@@ -32,15 +33,16 @@ Imports rebuild the receiving side of the serial hot path:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Sequence
 
+from repro.network.link import Emit
 from repro.network.message import Message, MessageKind
 from repro.pubsub.event import Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.builder import Simulation
 
-__all__ = ["inject_imports"]
+__all__ = ["inject_imports", "seam_emit"]
 
 _EVENT = MessageKind.EVENT
 _OOB_REQUEST = MessageKind.OOB_REQUEST
@@ -57,6 +59,32 @@ def _rebuild_event(event: Event, pattern_space) -> Event:
         event.publish_time,
         content_id,
     )
+
+
+def seam_emit(is_local: Sequence[bool], outbox: list, schedule: Emit) -> Emit:
+    """The emission of a shard's cut links and out-of-band channel.
+
+    An arrival at a locally-owned node enters the local calendar through
+    ``schedule``, as in serial; an arrival at a node another shard owns is
+    appended to ``outbox`` for the runner to route.
+    """
+    append = outbox.append
+
+    def emit(arrival, deliver, message, from_node, to_node) -> None:
+        if is_local[to_node]:
+            schedule(arrival, deliver, message, from_node, to_node)
+        else:
+            append((
+                arrival,
+                message.kind,
+                from_node,
+                to_node,
+                message.payload,
+                message.size_bits,
+                message.sender,
+            ))
+
+    return emit
 
 
 def inject_imports(simulation: "Simulation", imports: Iterable[tuple]) -> None:

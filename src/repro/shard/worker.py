@@ -3,10 +3,11 @@
 Each worker builds the *complete* simulation -- topology, subscriptions,
 every node's processes -- exactly as a serial run would, repeating every
 construction-time draw, then filters at runtime: only locally-owned node
-processes are armed (:meth:`Simulation.start` under a shard context), cut
-links export instead of scheduling (:meth:`Link.mark_boundary`), and
-out-of-band sends to foreign nodes are journalled at the sender
-(:meth:`Network.enable_shard_oob_export`).  Replication is what makes the
+processes are armed (:meth:`Simulation.start` under a shard context), and
+cut links (:meth:`Link.mark_boundary`) and the out-of-band channel
+(:meth:`Network.mark_oob_boundary`) emit through
+:func:`~repro.shard.seam.seam_emit`, which exports every arrival at a
+foreign node at send time.  Replication is what makes the
 merge trivial: shard-local data structures are laid out identically to
 serial, so partials combine by summation and journal replay.
 
@@ -26,7 +27,7 @@ from repro.scenarios.config import SimulationConfig
 from repro.shard.context import ShardContext
 from repro.shard.merge import ShardPartial, collect_partial
 from repro.shard.partition import cut_edges_for
-from repro.shard.seam import inject_imports
+from repro.shard.seam import inject_imports, seam_emit
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.tree import Tree
@@ -54,10 +55,14 @@ class ShardWorker:
         self.cut_links: List[Tuple[int, int]] = cut_edges_for(
             owner, network.edges()
         )
-        outbox = self.context.outbox
+        emit = seam_emit(
+            self.context.is_local,
+            self.context.outbox,
+            self.simulation.sim.schedule_call_at,
+        )
         for a, b in self.cut_links:
-            network.link(a, b).mark_boundary(outbox)
-        network.enable_shard_oob_export(self.context.is_local, outbox)
+            network.link(a, b).mark_boundary(emit)
+        network.mark_oob_boundary(emit)
         self.simulation.start()
         # The runner drives the engine directly (Simulation.run's gc pause
         # never sees these events), so pause collection here for the whole
@@ -93,9 +98,8 @@ class ShardWorker:
     def drain_outbox(self) -> List[tuple]:
         """Take this round's seam exports (in local execution order).
 
-        The outbox list object is captured by every boundary-link closure
-        and the out-of-band export hook, so it is drained in place, never
-        rebound.
+        The outbox list object is captured by the seam emission, so it is
+        drained in place, never rebound.
         """
         outbox = self.context.outbox
         exports = outbox[:]

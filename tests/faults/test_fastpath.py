@@ -1,25 +1,33 @@
 """The fault layer must cost *nothing* when it is switched off.
 
-PR 5 replaced per-event ``if faults:`` branches with setup-time method
-binding: every hot-path entry point (`Link.transmit`, OOB send/deliver,
-`Dispatcher.receive`, recovery forwarding) is bound to either a *fast*
-variant (no fault or degradation bookkeeping at all) or a *checked*
-variant at construction time.  These tests pin the binding decisions
-themselves, so a future change cannot silently re-route the fault-free
-path through the instrumented variants (a correctness-preserving but
-performance-destroying regression the behavioural suites would miss).
+Two mechanisms keep fault machinery off the fault-free hot path:
+
+* The network layer keeps its configuration in components: each link
+  direction and the out-of-band channel hold a loss component (``None``
+  when lossless), and delivery is always crash-aware through one
+  ``dict.get``.  The tests here pin the behaviour that design promises --
+  a lossless path draws nothing, loss-rate setters take effect mid-run,
+  crashes need no setup-time flag.
+* ``Dispatcher.receive`` and recovery forwarding are bound at construction
+  to a *plain* variant (no peer bookkeeping) or a *tracked* one.  These
+  binding decisions are pinned, so a future change cannot silently route
+  the fault-free path through the instrumented variants (a correct but
+  slower result the behavioural suites would miss).
 """
 
 from __future__ import annotations
 
-import pytest
+import random
 
 from repro.faults import FaultPlan, scripted_crashes
-from repro.network.link import Link
-from repro.network.network import Network
+from repro.metrics.counters import MessageCounters
+from repro.network.message import Message, MessageKind
+from repro.network.network import Network, NetworkConfig
 from repro.recovery.degrade import DegradationConfig
 from repro.scenarios.builder import Simulation
 from repro.scenarios.config import SimulationConfig
+from repro.sim.engine import Simulator
+from tests.network.test_link import Recorder, event_message
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -39,21 +47,33 @@ def _config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def _a_link(network: Network) -> Link:
-    return next(iter(network.links()))
+def _pair(config: NetworkConfig, rng: random.Random, **network_options):
+    sim = Simulator()
+    counters = MessageCounters(node_count=2)
+    network = Network(sim, config, rng, counters, **network_options)
+    nodes = [Recorder(0, sim), Recorder(1, sim)]
+    for node in nodes:
+        network.add_node(node)
+    network.add_link(0, 1)
+    return sim, network, counters, nodes
+
+
+def _send(sim, network, count: int) -> None:
+    for _ in range(count):
+        network.send(0, 1, event_message())
+        network.send(1, 0, event_message(sender=1))
+    sim.run()
+
+
+def _send_oob(sim, network, count: int) -> None:
+    for _ in range(count):
+        network.send_oob(0, 1, Message(MessageKind.OOB_EVENT, "e", 0))
+    sim.run()
 
 
 class TestFastPathBinding:
     def test_no_faults_binds_fast_variants(self):
         simulation = Simulation(_config())
-        network = simulation.network
-        assert network.fault_hooks is False
-        # OOB path: no membership checks, no drop accounting.
-        assert network.send_oob.__func__ is Network._send_oob_lossless
-        assert network._deliver_oob.__func__ is Network._deliver_oob_fast
-        link = _a_link(network)
-        assert link.transmit.__func__ is Link._transmit_bernoulli
-        assert link._deliver.__func__ is Link._deliver_fast
         # No degradation config -> no per-peer bookkeeping in forwarding.
         for dispatcher in simulation.system.dispatchers:
             recovery = dispatcher.recovery
@@ -64,24 +84,11 @@ class TestFastPathBinding:
             )
             assert dispatcher.receive.__func__ is type(dispatcher)._receive_plain
 
-    def test_lossless_link_binds_lossless_transmit(self):
-        simulation = Simulation(_config(error_rate=0.0))
-        assert (
-            _a_link(simulation.network).transmit.__func__
-            is Link._transmit_lossless
-        )
-
     def test_fault_plan_binds_checked_variants(self):
         plan = FaultPlan(crashes=scripted_crashes([1], at=0.5, duration=0.2))
         simulation = Simulation(
             _config(faults=plan, degradation=DegradationConfig())
         )
-        network = simulation.network
-        assert network.fault_hooks is True
-        assert network.send_oob.__func__ is Network._send_oob_checked
-        assert network._deliver_oob.__func__ is Network._deliver_oob_checked
-        link = _a_link(network)
-        assert link._deliver.__func__ is Link._deliver_checked
         for dispatcher in simulation.system.dispatchers:
             recovery = dispatcher.recovery
             assert recovery.peers is not None
@@ -91,25 +98,68 @@ class TestFastPathBinding:
             )
             assert dispatcher.receive.__func__ is type(dispatcher)._receive_tracked
 
-    def test_set_node_down_requires_fault_hooks(self):
-        simulation = Simulation(_config())
-        with pytest.raises(RuntimeError, match="fault_hooks=True"):
-            simulation.network.set_node_down(0, True)
 
-    def test_set_error_rate_rebinds_transmit(self):
-        simulation = Simulation(_config(error_rate=0.0))
-        link = _a_link(simulation.network)
-        assert link.transmit.__func__ is Link._transmit_lossless
-        link.set_error_rate(0.2)
-        assert link.transmit.__func__ is Link._transmit_bernoulli
+class TestNetworkComponents:
+    def test_lossless_link_draws_nothing(self):
+        """Under both loss disciplines: the shared stream, and the private
+        stream of each link direction (per-edge)."""
+        shared = random.Random(7)
+        streams = {}
+
+        def per_edge(a, b):
+            streams[a, b] = random.Random(a * 10 + b)
+            return streams[a, b]
+
+        for options in ({}, {"link_rng_factory": per_edge}):
+            sim, network, counters, nodes = _pair(
+                NetworkConfig(error_rate=0.0), shared, **options
+            )
+            before = [rng.getstate() for rng in (shared, *streams.values())]
+            _send(sim, network, 50)
+            assert [rng.getstate() for rng in (shared, *streams.values())] == before
+            assert len(nodes[0].received) == len(nodes[1].received) == 50
+        assert sorted(streams) == [(0, 1), (1, 0)]
+
+    def test_set_error_rate_takes_effect_mid_run(self):
+        rng = random.Random(7)
+        sim, network, counters, nodes = _pair(NetworkConfig(error_rate=0.3), rng)
+        link = network.link(0, 1)
+        link.set_error_rate(1.0)
+        _send(sim, network, 20)
+        assert nodes[1].received == [] and nodes[0].received == []
+        assert link.stats.lost == 40
         link.set_error_rate(0.0)
-        assert link.transmit.__func__ is Link._transmit_lossless
+        before = rng.getstate()
+        _send(sim, network, 20)
+        assert rng.getstate() == before
+        assert len(nodes[0].received) == len(nodes[1].received) == 20
+        assert link.stats.lost == 40
 
-    def test_set_oob_error_rate_rebinds_send(self):
-        simulation = Simulation(_config())
-        network = simulation.network
-        network.set_oob_error_rate(0.5)
-        assert network.send_oob.__func__ is Network._send_oob_bernoulli
-        assert network.config.oob_error_rate == 0.5
+    def test_set_oob_error_rate_takes_effect_mid_run(self):
+        rng = random.Random(7)
+        sim, network, counters, nodes = _pair(
+            NetworkConfig(error_rate=0.0, oob_error_rate=0.3), rng
+        )
+        network.set_oob_error_rate(1.0)
+        assert network.config.oob_error_rate == 1.0
+        _send_oob(sim, network, 20)
+        assert nodes[1].received_oob == []
+        assert counters.dropped(MessageKind.OOB_EVENT) == 20
         network.set_oob_error_rate(0.0)
-        assert network.send_oob.__func__ is Network._send_oob_lossless
+        before = rng.getstate()
+        _send_oob(sim, network, 20)
+        assert rng.getstate() == before
+        assert len(nodes[1].received_oob) == 20
+        assert counters.dropped(MessageKind.OOB_EVENT) == 20
+
+    def test_set_node_down_works_without_fault_plan(self):
+        simulation = Simulation(_config(error_rate=0.0))
+        network = simulation.network
+        a, b = network.edges()[0]
+        assert network.send(a, b, Message(MessageKind.CONTROL, None, a)) is True
+        network.set_node_down(b, True)  # crash while the frame is on the wire
+        assert network.is_down(b)
+        simulation.sim.run(until=0.01)
+        assert network.down_drops == 1
+        assert simulation.counters.dropped(MessageKind.CONTROL) == 1
+        assert simulation.counters.delivered(MessageKind.CONTROL) == 0

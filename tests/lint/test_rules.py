@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import fnmatch
 import pathlib
 
 import pytest
@@ -83,8 +85,31 @@ class TestRep007Details:
 
         repo_root = pathlib.Path(__file__).resolve().parents[2]
         config = load_config(repo_root / "pyproject.toml")
-        assert "Link._transmit_*" in config.hot_path.methods
+        assert "Link.transmit" in config.hot_path.methods
+        assert "Link._deliver" in config.hot_path.methods
         assert "Dispatcher._forward_event" in config.hot_path.methods
+
+    def test_every_repo_hot_path_pattern_names_a_method(self):
+        """A stale registry entry leaves REP007 silently inert."""
+        from repro.lint.config import load_config
+
+        repo_root = pathlib.Path(__file__).resolve().parents[2]
+        config = load_config(repo_root / "pyproject.toml")
+        methods = set()
+        for path in sorted((repo_root / "src").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef):
+                    methods.update(
+                        f"{node.name}.{item.name}"
+                        for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    )
+        stale = [
+            pattern
+            for pattern in config.hot_path.methods
+            if not fnmatch.filter(methods, pattern)
+        ]
+        assert not stale, f"hot-path patterns matching no method: {stale}"
 
 
 class TestRep001Details:

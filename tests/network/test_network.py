@@ -13,13 +13,9 @@ from repro.sim.engine import Simulator
 from tests.network.test_link import Recorder, event_message
 
 
-def make_network(sim, n=3, config=None, seed=0, observer=None, fault_hooks=False):
+def make_network(sim, n=3, config=None, seed=0, observer=None):
     network = Network(
-        sim,
-        config or NetworkConfig(error_rate=0.0),
-        random.Random(seed),
-        observer,
-        fault_hooks=fault_hooks,
+        sim, config or NetworkConfig(error_rate=0.0), random.Random(seed), observer
     )
     nodes = [Recorder(i, sim) for i in range(n)]
     for node in nodes:
@@ -84,7 +80,7 @@ class TestOutOfBand:
         drop + down_drops), never a KeyError."""
         sim = Simulator()
         counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters, fault_hooks=True)
+        network, nodes = make_network(sim, observer=counters)
         assert network.send_oob(0, 99, Message(MessageKind.OOB_EVENT, "e", 0)) is False
         sim.run()
         assert counters.sent(MessageKind.OOB_EVENT) == 1
@@ -109,7 +105,7 @@ class TestCrashedNodeDelivery:
     def test_link_message_in_flight_when_node_crashes(self):
         sim = Simulator()
         counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters, fault_hooks=True)
+        network, nodes = make_network(sim, observer=counters)
         network.add_link(0, 1)
         assert network.send(0, 1, event_message()) is True
         network.set_node_down(1, True)  # crash while the frame is on the wire
@@ -122,7 +118,7 @@ class TestCrashedNodeDelivery:
     def test_oob_message_in_flight_when_node_crashes(self):
         sim = Simulator()
         counters = MessageCounters(node_count=3)
-        network, nodes = make_network(sim, observer=counters, fault_hooks=True)
+        network, nodes = make_network(sim, observer=counters)
         assert network.send_oob(0, 2, Message(MessageKind.OOB_EVENT, "e", 0)) is True
         network.set_node_down(2, True)
         sim.run()
@@ -132,7 +128,7 @@ class TestCrashedNodeDelivery:
 
     def test_restart_reenables_delivery(self):
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         network.add_link(0, 1)
         network.set_node_down(1, True)
         network.send(0, 1, event_message())
@@ -146,7 +142,7 @@ class TestCrashedNodeDelivery:
 
     def test_set_node_down_rejects_unknown_node(self):
         sim = Simulator()
-        network, nodes = make_network(sim, fault_hooks=True)
+        network, nodes = make_network(sim)
         with pytest.raises(KeyError):
             network.set_node_down(99, True)
 
