@@ -455,7 +455,7 @@ def _instance_bindings(
     cache: Dict[str, Dict[str, List[FunctionInfo]]],
 ) -> Dict[str, List[FunctionInfo]]:
     """``attr -> methods`` for instance attributes rebound to the class's
-    own methods (``self.receive = self._receive_event`` at setup time).
+    own methods (``self.send_gossip = self._send_gossip`` at setup time).
     Scans the whole MRO once per class and memoizes in ``cache``."""
     hit = cache.get(cls.qualname)
     if hit is not None:

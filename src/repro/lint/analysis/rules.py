@@ -1,6 +1,6 @@
 """The whole-program rule family, REP100–REP105.
 
-Where REP001–REP007 police what one file *says*, these rules police the
+Where REP001–REP006 police what one file *says*, these rules police the
 cross-module contracts the hot paths of PR 2 lean on:
 
 ========  ==============================================================

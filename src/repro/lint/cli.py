@@ -143,9 +143,7 @@ def lint_paths(
 
     for path in files:
         rel = config.rel_path(path)
-        file_findings, error = lint_file(
-            path, rel, enabled_for(rel), hot_path=config.hot_path
-        )
+        file_findings, error = lint_file(path, rel, enabled_for(rel))
         findings.extend(file_findings)
         if error is not None:
             errors.append(error)
@@ -201,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based determinism & protocol-invariant linter for the "
-            "epidemic pub-sub reproduction (per-file rules REP001-REP007; "
+            "epidemic pub-sub reproduction (per-file rules REP001-REP006; "
             "whole-program rules REP100-REP105, architecture rules "
             "REP200-REP205, and concurrency-safety rules REP300-REP306 "
             "via --analysis)"

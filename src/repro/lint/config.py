@@ -13,11 +13,6 @@ Recognised keys::
     disable = ["REP001"]
     # enable = [...] re-enables codes a broader entry (or `ignore`) removed
 
-    [tool.repro-lint.hot-path]             # REP007 registry
-    methods = ["Link.transmit"]            # Class.method fnmatch patterns
-    # guards = ["_injector", ...]          # banned per-event config branches
-    #                                      # (defaults to the built-in list)
-
     [tool.repro-lint.layers]               # REP200/REP201 layer map
     order = ["sim", "network", "protocol", "scenarios"]   # bottom -> top
     confined = ["protocol"]                # layers needing touchpoints (REP201)
@@ -75,7 +70,6 @@ from typing import Iterable, Optional, Sequence, Set, Tuple
 __all__ = [
     "LintConfig",
     "PerPath",
-    "HotPathConfig",
     "LayersConfig",
     "SlotsConfig",
     "OwnershipConfig",
@@ -92,20 +86,6 @@ class PerPath:
     pattern: str
     disable: Tuple[str, ...] = ()
     enable: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class HotPathConfig:
-    """``[tool.repro-lint.hot-path]``: the REP007 registry.
-
-    ``methods`` holds ``Class.method`` fnmatch patterns naming the per-event
-    hot-path methods; REP007 is inert when the list is empty.  ``guards``
-    optionally overrides the built-in list of setup-time-constant attribute
-    patterns that such methods must not branch on.
-    """
-
-    methods: Tuple[str, ...] = ()
-    guards: Tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -221,8 +201,6 @@ class LintConfig:
     per_path: Tuple[PerPath, ...] = ()
     #: run the whole-program REP1xx analysis by default (CLI flags win).
     analysis: bool = False
-    #: REP007 registry; empty ``methods`` leaves the rule inert.
-    hot_path: HotPathConfig = field(default_factory=HotPathConfig)
     #: declared layer map; empty ``order`` leaves REP200/REP201 inert.
     layers: LayersConfig = field(default_factory=LayersConfig)
     #: REP203 allowlist.
@@ -302,11 +280,6 @@ def load_config(pyproject: Path) -> LintConfig:
         )
         for entry in table.get("per-path", ())
     )
-    hot = table.get("hot-path", {})
-    hot_path = HotPathConfig(
-        methods=tuple(str(m) for m in hot.get("methods", ())),
-        guards=tuple(str(g) for g in hot.get("guards", ())),
-    )
     layers_table = table.get("layers", {})
     layers = LayersConfig(
         order=tuple(str(l) for l in layers_table.get("order", ())),
@@ -344,7 +317,6 @@ def load_config(pyproject: Path) -> LintConfig:
         ignore=tuple(table.get("ignore", ())),
         per_path=per_path,
         analysis=bool(table.get("analysis", False)),
-        hot_path=hot_path,
         layers=layers,
         slots=slots,
         rng_streams=rng_streams,

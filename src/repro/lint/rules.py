@@ -1,4 +1,4 @@
-"""The determinism and protocol-invariant rules, REP001–REP007.
+"""The determinism and protocol-invariant rules, REP001–REP006.
 
 Each rule is a singleton object with a ``code``, a ``name``, a one-line
 ``summary``, and one or more ``check_*`` hooks the walker calls as it visits
@@ -14,7 +14,6 @@ occasional false positive — which is what inline suppression
 from __future__ import annotations
 
 import ast
-import fnmatch
 from typing import Callable, Dict, List, Optional
 
 __all__ = ["Rule", "RULES", "all_codes", "rules_by_code"]
@@ -301,74 +300,6 @@ class MutableDefaultRule(Rule):
                 )
 
 
-#: Attribute patterns REP007 bans hot-path branches on: all of these are
-#: fixed once construction finishes, so a per-event ``if self._injector:``
-#: can only re-create the overhead that setup-time method binding removed.
-#: ``[tool.repro-lint.hot-path] guards`` overrides the list.
-_DEFAULT_HOT_PATH_GUARDS = (
-    "_injector",
-    "_observer",
-    "peers",
-    "_loss_model",
-    "_oob_loss_model",
-    "_jitter_fn",
-    "fault_hooks",
-    "faults",
-    "degradation",
-)
-
-
-class HotPathGuardRule(Rule):
-    """REP007: hot-path methods must not branch on static configuration.
-
-    The registry of hot-path methods lives in ``[tool.repro-lint.hot-path]``
-    (``Class.method`` fnmatch patterns); without it the rule is inert.  A
-    branch on a guard attribute inside a registered method means static
-    configuration is being re-checked on every simulated message -- the
-    decision belongs at construction time, as a bound method variant
-    (see docs/PERFORMANCE.md).
-    """
-
-    code = "REP007"
-    name = "hot-path-guard"
-    summary = (
-        "per-event branch on setup-time configuration inside a registered "
-        "hot-path method; bind a fast/checked method variant at "
-        "construction instead"
-    )
-
-    def check_function(self, ctx, node, add: AddFn) -> None:
-        hot_path = getattr(ctx, "hot_path", None)
-        if hot_path is None or not hot_path.methods:
-            return
-        qualname = ctx.method_qualname(node)
-        if qualname is None or not any(
-            fnmatch.fnmatch(qualname, pattern) for pattern in hot_path.methods
-        ):
-            return
-        guards = hot_path.guards or _DEFAULT_HOT_PATH_GUARDS
-        # Only conditional *tests* are inspected: a checked variant may read
-        # a guard attribute unconditionally, and `assert peers is not None`
-        # narrowing (erased under -O) stays legal.
-        for stmt in ast.walk(node):
-            if isinstance(stmt, (ast.If, ast.While, ast.IfExp)):
-                for sub in ast.walk(stmt.test):
-                    if (
-                        isinstance(sub, ast.Attribute)
-                        and isinstance(sub.value, ast.Name)
-                        and sub.value.id == "self"
-                        and any(fnmatch.fnmatch(sub.attr, g) for g in guards)
-                    ):
-                        add(
-                            self.code,
-                            sub,
-                            f"hot-path method {qualname} branches on "
-                            f"self.{sub.attr} per event; the attribute is "
-                            "fixed at setup time -- bind a fast/checked "
-                            "method variant at construction instead",
-                        )
-
-
 RULES: List[Rule] = [
     GlobalRandomRule(),
     WallClockRule(),
@@ -376,7 +307,6 @@ RULES: List[Rule] = [
     IdBasedIdentityRule(),
     ScheduleMisuseRule(),
     MutableDefaultRule(),
-    HotPathGuardRule(),
 ]
 
 

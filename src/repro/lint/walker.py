@@ -16,7 +16,6 @@ import ast
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .config import HotPathConfig
 from .findings import Finding, LintError
 from .rules import RULES, Rule
 from .suppress import parse_suppressions
@@ -27,28 +26,14 @@ __all__ = ["FileContext", "lint_file"]
 class FileContext:
     """Per-file state shared by every rule: paths and import aliases."""
 
-    def __init__(
-        self,
-        rel_path: str,
-        tree: ast.AST,
-        hot_path: Optional[HotPathConfig] = None,
-    ) -> None:
+    def __init__(self, rel_path: str, tree: ast.AST) -> None:
         self.rel_path = rel_path
-        #: the REP007 registry (``None``/empty leaves the rule inert).
-        self.hot_path = hot_path
         #: alias -> module, e.g. {"rnd": "random", "time": "time"}
         self.module_aliases: Dict[str, str] = {}
         #: local name -> "module.original", e.g. {"clock": "time.perf_counter"}
         self.from_imports: Dict[str, str] = {}
-        #: direct method node -> "Class.method" (nested defs excluded: only
-        #: methods can be hot-path entry points bound at construction).
-        self._method_qualnames: Dict[ast.AST, str] = {}
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        self._method_qualnames[item] = f"{node.name}.{item.name}"
-            elif isinstance(node, ast.Import):
+            if isinstance(node, ast.Import):
                 for alias in node.names:
                     self.module_aliases[alias.asname or alias.name.split(".")[0]] = (
                         alias.name if alias.asname else alias.name.split(".")[0]
@@ -58,10 +43,6 @@ class FileContext:
                     self.from_imports[alias.asname or alias.name] = (
                         f"{node.module}.{alias.name}"
                     )
-
-    def method_qualname(self, node: ast.AST) -> Optional[str]:
-        """``Class.method`` when ``node`` is a direct method, else ``None``."""
-        return self._method_qualnames.get(node)
 
     def resolve_name(self, name: str) -> str:
         if name in self.from_imports:
@@ -144,13 +125,11 @@ def lint_file(
     path: Path,
     rel_path: str,
     enabled_codes: Set[str],
-    hot_path: Optional[HotPathConfig] = None,
 ) -> Tuple[List[Finding], Optional[LintError]]:
     """Lint one file; returns (findings, error).
 
     ``enabled_codes`` restricts which rules run; suppression comments are
     applied afterwards so a suppressed finding never escapes this function.
-    ``hot_path`` is the REP007 registry from ``[tool.repro-lint.hot-path]``.
     """
     try:
         source = path.read_text(encoding="utf-8")
@@ -163,7 +142,7 @@ def lint_file(
             path=rel_path, message=f"syntax error on line {exc.lineno}: {exc.msg}"
         )
 
-    ctx = FileContext(rel_path, tree, hot_path)
+    ctx = FileContext(rel_path, tree)
     rules = [rule for rule in RULES if rule.code in enabled_codes]
     dispatcher = _Dispatcher(ctx, rules)
     dispatcher.visit(tree)

@@ -85,9 +85,9 @@ class Dispatcher:
     """A dispatching server of the content-based publish-subscribe network.
 
     One instance per simulated node (REP203): the class is slotted, and
-    the swappable entry points (``receive``, ``receive_oob``,
-    ``send_gossip``, ``on_deliver``, ``on_publish``) are instance
-    attributes precisely so rebinding them needs no ``__dict__``.
+    the swappable entry points (``send_gossip``, ``send_oob_request``,
+    ``on_deliver``, ``on_publish``) are instance attributes precisely so
+    rebinding them needs no ``__dict__``.
 
     Parameters
     ----------
@@ -109,8 +109,8 @@ class Dispatcher:
 
     __slots__ = ("node_id", "sim", "network", "pattern_space", "table",
                  "cache", "record_routes", "on_deliver", "on_publish",
-                 "tree_routing_enabled", "recovery", "receive",
-                 "receive_oob", "send_gossip", "send_oob_request",
+                 "tree_routing_enabled", "recovery",
+                 "send_gossip", "send_oob_request",
                  "received_ids",
                  "_next_event_seq", "_pattern_counters", "match_operations",
                  "published_count", "delivered_count", "recovered_count")
@@ -150,15 +150,8 @@ class Dispatcher:
         #: comparator), where epidemic exchange is the sole transport.
         self.tree_routing_enabled: bool = True
         self.recovery: Optional[RecoveryHooks] = None
-        # Network-facing entry points, bound per-instance so the per-message
-        # path never re-tests whether peer-liveness tracking (graceful
-        # degradation) is configured: attach_recovery swaps in the tracked
-        # variants only when a PeerTracker exists (docs/PERFORMANCE.md,
-        # "Setup-time method binding").
-        self.receive: Callable[[Message, int], None] = self._receive_plain
-        self.receive_oob: Callable[[Message, int], None] = self._receive_oob_plain
-        # Outbound gossip/requests, likewise instance bindings (spies
-        # rebind them).
+        # Outbound gossip/requests are instance bindings so spies can
+        # rebind them.
         self.send_gossip: Callable[..., None] = self._send_gossip
         self.send_oob_request: Callable[[int, Any], None] = self._send_oob_request
 
@@ -188,13 +181,6 @@ class Dispatcher:
     # ------------------------------------------------------------------
     def attach_recovery(self, recovery: RecoveryHooks) -> None:
         self.recovery = recovery
-        # getattr: stub recovery objects in tests may omit ``peers``.
-        if getattr(recovery, "peers", None) is not None:
-            # Graceful degradation is on: inbound traffic must feed the
-            # peer-liveness tracker.  Without it the plain variants stay
-            # bound and the hot path carries no tracking work at all.
-            self.receive = self._receive_tracked
-            self.receive_oob = self._receive_oob_tracked
 
     @property
     def local_patterns(self) -> list[int]:
@@ -490,55 +476,32 @@ class Dispatcher:
         self.network.send_oob(self.node_id, to_node, message)
 
     # ------------------------------------------------------------------
-    # Network-facing entry points.  ``receive``/``receive_oob`` are
-    # instance attributes bound to the plain variants at construction and
-    # swapped for the tracked variants by :meth:`attach_recovery` when a
-    # peer-liveness tracker exists.
+    # Network-facing entry points.  With graceful degradation on, inbound
+    # gossip and all out-of-band traffic prove the sender alive and feed
+    # the recovery's peer-liveness tracker.
     # ------------------------------------------------------------------
-    def _receive_plain(self, message: Message, from_node: int) -> None:
+    def receive(self, message: Message, from_node: int) -> None:
         kind = message.kind
         if kind is _EVENT:
             self._handle_event(message.payload, from_node)
         elif kind is _GOSSIP:
             recovery = self.recovery
             if recovery is not None:
+                peers = recovery.peers
+                if peers is not None:
+                    peers.note_response(from_node)
                 recovery.handle_gossip(message.payload, from_node)
         elif kind is _SUBSCRIPTION:
             self._handle_subscription(message.payload, from_node)
         # CONTROL and unknown kinds are ignored by design.
 
-    def _receive_tracked(self, message: Message, from_node: int) -> None:
-        kind = message.kind
-        if kind is _EVENT:
-            self._handle_event(message.payload, from_node)
-        elif kind is _GOSSIP:
-            recovery = self.recovery
-            if recovery is not None:
-                if recovery.peers is not None:
-                    # Inbound gossip proves the neighbor is alive (graceful
-                    # degradation; no-op dict miss when nothing is tracked).
-                    recovery.peers.note_response(from_node)
-                recovery.handle_gossip(message.payload, from_node)
-        elif kind is _SUBSCRIPTION:
-            self._handle_subscription(message.payload, from_node)
-        # CONTROL and unknown kinds are ignored by design.
-
-    def _receive_oob_plain(self, message: Message, from_node: int) -> None:
-        kind = message.kind
-        if kind is _OOB_REQUEST:
-            recovery = self.recovery
-            if recovery is not None:
-                recovery.handle_oob_request(message.payload, from_node)
-        elif kind is _OOB_EVENT:
-            self.receive_recovered_event(message.payload)
-
-    def _receive_oob_tracked(self, message: Message, from_node: int) -> None:
-        kind = message.kind
+    def receive_oob(self, message: Message, from_node: int) -> None:
         recovery = self.recovery
-        if recovery is not None and recovery.peers is not None:
-            # Out-of-band traffic (requests and retransmissions) also proves
-            # the sender is alive.
-            recovery.peers.note_response(from_node)
+        if recovery is not None:
+            peers = recovery.peers
+            if peers is not None:
+                peers.note_response(from_node)
+        kind = message.kind
         if kind is _OOB_REQUEST:
             if recovery is not None:
                 recovery.handle_oob_request(message.payload, from_node)

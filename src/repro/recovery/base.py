@@ -13,7 +13,7 @@ leaves :meth:`gossip_round` / :meth:`handle_gossip` to subclasses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.pubsub.dispatcher import Dispatcher
 from repro.pubsub.event import EventId
@@ -111,11 +111,9 @@ class RecoveryAlgorithm:
         Shared tunables.
     """
 
-    # One instance per dispatcher per run, but tens of thousands of runs
-    # sweep the parameter grid; the bound-forwarding attributes make the
-    # per-instance __dict__ the widest in the protocol layer (REP203).
-    __slots__ = ("dispatcher", "rng", "config", "stats", "peers",
-                 "forward_along_pattern", "forward_randomly", "timer")
+    # One instance per dispatcher per run, and tens of thousands of runs
+    # sweep the parameter grid: slotted like every per-node class (REP203).
+    __slots__ = ("dispatcher", "rng", "config", "stats", "peers", "timer")
 
     #: Registry name; overridden by subclasses.
     name = "abstract"
@@ -143,19 +141,6 @@ class RecoveryAlgorithm:
             self.peers = PeerTracker(
                 dispatcher.sim, rng, config.degradation, config.gossip_interval
             )
-        # Gossip-forwarding primitives, bound per-instance: the tracked
-        # variants (suspicion filtering + probe bookkeeping) cost per-copy
-        # work, so they are only installed when graceful degradation is
-        # actually configured (docs/PERFORMANCE.md, "Setup-time method
-        # binding").  The fault-free path carries zero ``peers`` checks.
-        self.forward_along_pattern: Callable[[int, Any, Optional[int]], int]
-        self.forward_randomly: Callable[[Any, Optional[int]], int]
-        if self.peers is not None:
-            self.forward_along_pattern = self._forward_along_pattern_tracked
-            self.forward_randomly = self._forward_randomly_tracked
-        else:
-            self.forward_along_pattern = self._forward_along_pattern_plain
-            self.forward_randomly = self._forward_randomly_plain
         phase = rng.random() * config.gossip_interval
         self.timer = PeriodicTimer(
             dispatcher.sim, config.gossip_interval, self._round, phase=phase
@@ -217,12 +202,11 @@ class RecoveryAlgorithm:
             self.peers.reset()
 
     # ------------------------------------------------------------------
-    # Shared primitives.  ``forward_along_pattern``/``forward_randomly``
-    # are instance attributes bound in ``__init__`` to the plain variants
-    # (no degradation machinery) or the tracked ones (suspicion filtering
-    # plus probe bookkeeping).
+    # Shared primitives.  With graceful degradation on (``peers`` set),
+    # forwarding skips suspected or backing-off neighbors and arms a
+    # response probe for every copy sent.
     # ------------------------------------------------------------------
-    def _forward_along_pattern_plain(
+    def forward_along_pattern(
         self, pattern: int, payload: Any, exclude: Optional[int]
     ) -> int:
         """Send ``payload`` toward subscribers of ``pattern``.
@@ -233,73 +217,44 @@ class RecoveryAlgorithm:
         """
         sent = 0
         p_forward = self.config.p_forward
-        for neighbor in self.dispatcher.gossip_targets(pattern, exclude):
-            if self.rng.random() < p_forward:
-                self.dispatcher.send_gossip(neighbor, payload)
-                sent += 1
-        self.stats.gossip_sent += sent
-        return sent
-
-    def _forward_along_pattern_tracked(
-        self, pattern: int, payload: Any, exclude: Optional[int]
-    ) -> int:
-        """Pattern-steered forwarding with graceful degradation: suspected
-        or backing-off peers are skipped and probes are accounted."""
-        sent = 0
-        p_forward = self.config.p_forward
         peers = self.peers
-        assert peers is not None  # bound only when degradation is configured
         for neighbor in self.dispatcher.gossip_targets(pattern, exclude):
-            if not peers.allow(neighbor):
+            if peers is not None and not peers.allow(neighbor):
                 continue  # suspected or backing off: spend the copy elsewhere
             if self.rng.random() < p_forward:
                 self.dispatcher.send_gossip(neighbor, payload)
-                peers.note_sent(neighbor)
+                if peers is not None:
+                    peers.note_sent(neighbor)
                 sent += 1
         self.stats.gossip_sent += sent
         return sent
 
-    def _forward_randomly_plain(self, payload: Any, exclude: Optional[int]) -> int:
+    def forward_randomly(self, payload: Any, exclude: Optional[int]) -> int:
         """Forward ``payload`` to *one* uniformly random neighbor.
 
         This is the "routing performed entirely at random" of the paper's
         random-pull/-push controls: a random walk over the overlay
-        (previous hop excluded when another choice exists), with the hop
-        budget carried in the payload.  Returns the number of copies sent
-        (0 when the node has no usable neighbor).
+        (previous hop and suspected peers excluded when another choice
+        exists), with the hop budget carried in the payload.  Returns the
+        number of copies sent (0 when the node has no usable neighbor).
         """
+        peers = self.peers
         neighbors = [
             neighbor
             for neighbor in self.dispatcher.neighbors()
             if neighbor != exclude
+            and (peers is None or not peers.is_suspected(neighbor))
         ]
         if not neighbors:
+            # No usable forward choice: fall back to any neighbor rather
+            # than stalling the walk (suspicion may be a false alarm).
             neighbors = self.dispatcher.neighbors()
             if not neighbors:
                 return 0
         choice = neighbors[self.rng.randrange(len(neighbors))]
         self.dispatcher.send_gossip(choice, payload)
-        self.stats.gossip_sent += 1
-        return 1
-
-    def _forward_randomly_tracked(self, payload: Any, exclude: Optional[int]) -> int:
-        """Random-walk forwarding with suspected peers filtered out."""
-        peers = self.peers
-        assert peers is not None  # bound only when degradation is configured
-        neighbors = [
-            neighbor
-            for neighbor in self.dispatcher.neighbors()
-            if neighbor != exclude and not peers.is_suspected(neighbor)
-        ]
-        if not neighbors:
-            # No non-suspected forward choice: fall back to any neighbor
-            # rather than stalling the walk (suspicion may be a false alarm).
-            neighbors = self.dispatcher.neighbors()
-            if not neighbors:
-                return 0
-        choice = neighbors[self.rng.randrange(len(neighbors))]
-        self.dispatcher.send_gossip(choice, payload)
-        peers.note_sent(choice)
+        if peers is not None:
+            peers.note_sent(choice)
         self.stats.gossip_sent += 1
         return 1
 

@@ -1,6 +1,7 @@
 """The fault layer must cost *nothing* when it is switched off.
 
-Two mechanisms keep fault machinery off the fault-free hot path:
+Fault and degradation machinery lives in components that are ``None``
+when unused, so each per-message step has one code path:
 
 * The network layer keeps its configuration in components: each link
   direction and the out-of-band channel hold a loss component (``None``
@@ -8,26 +9,29 @@ Two mechanisms keep fault machinery off the fault-free hot path:
   ``dict.get``.  The tests here pin the behaviour that design promises --
   a lossless path draws nothing, loss-rate setters take effect mid-run,
   crashes need no setup-time flag.
-* ``Dispatcher.receive`` and recovery forwarding are bound at construction
-  to a *plain* variant (no peer bookkeeping) or a *tracked* one.  These
-  binding decisions are pinned, so a future change cannot silently route
-  the fault-free path through the instrumented variants (a correct but
-  slower result the behavioural suites would miss).
+* A recovery's ``peers`` is a peer-liveness tracker under graceful
+  degradation and ``None`` otherwise.  Forwarding and inbound traffic use
+  it only when it is set: the tests here pin what the tracker changes
+  (skipped neighbors, armed probes, cleared records) and that without it
+  forwarding draws exactly what the untracked protocol draws.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.faults import FaultPlan, scripted_crashes
 from repro.metrics.counters import MessageCounters
 from repro.network.message import Message, MessageKind
 from repro.network.network import Network, NetworkConfig
+from repro.recovery.base import RecoveryConfig
 from repro.recovery.degrade import DegradationConfig
+from repro.recovery.digest import PushGossip
 from repro.scenarios.builder import Simulation
 from repro.scenarios.config import SimulationConfig
 from repro.sim.engine import Simulator
+from repro.topology.generator import star_tree
 from tests.network.test_link import Recorder, event_message
+from tests.recovery.harness import RecoveryHarness
 
 
 def _config(**overrides) -> SimulationConfig:
@@ -71,32 +75,103 @@ def _send_oob(sim, network, count: int) -> None:
     sim.run()
 
 
-class TestFastPathBinding:
-    def test_no_faults_binds_fast_variants(self):
-        simulation = Simulation(_config())
-        # No degradation config -> no per-peer bookkeeping in forwarding.
-        for dispatcher in simulation.system.dispatchers:
-            recovery = dispatcher.recovery
-            assert recovery.peers is None
-            assert (
-                recovery.forward_along_pattern.__func__
-                is type(recovery)._forward_along_pattern_plain
-            )
-            assert dispatcher.receive.__func__ is type(dispatcher)._receive_plain
+def _star(degradation=None, **recovery_options) -> RecoveryHarness:
+    """Node 0 and its three leaves all subscribe to pattern 1; no gossip
+    timers run, so the tests drive forwarding by hand."""
+    config = RecoveryConfig(
+        gossip_interval=0.05, degradation=degradation, **recovery_options
+    )
+    return RecoveryHarness(
+        star_tree(4),
+        "push",
+        {node: (1,) for node in range(4)},
+        config=config,
+        start=False,
+    )
 
-    def test_fault_plan_binds_checked_variants(self):
-        plan = FaultPlan(crashes=scripted_crashes([1], at=0.5, duration=0.2))
-        simulation = Simulation(
-            _config(faults=plan, degradation=DegradationConfig())
-        )
-        for dispatcher in simulation.system.dispatchers:
-            recovery = dispatcher.recovery
-            assert recovery.peers is not None
-            assert (
-                recovery.forward_along_pattern.__func__
-                is type(recovery)._forward_along_pattern_tracked
-            )
-            assert dispatcher.receive.__func__ is type(dispatcher)._receive_tracked
+
+def _spy_gossip(dispatcher) -> list:
+    """Capture ``send_gossip`` targets instead of putting copies on the wire."""
+    targets = []
+    dispatcher.send_gossip = lambda neighbor, payload, size_bits=None: (
+        targets.append(neighbor)
+    )
+    return targets
+
+
+def _time_out(harness: RecoveryHarness, peers, *neighbors: int) -> None:
+    """Let one unanswered probe per neighbor expire."""
+    for neighbor in neighbors:
+        peers.note_sent(neighbor)
+    harness.run_for(peers.config.request_timeout + 0.005)
+
+
+class TestSinglePath:
+    def test_forward_along_pattern_skips_backoff_and_arms_probes(self):
+        harness = _star(DegradationConfig(), p_forward=1.0)
+        recovery = harness.recovery(0)
+        peers = recovery.peers
+        _time_out(harness, peers, 1)
+        assert peers.timeouts == 1 and not peers.allow(1)  # backing off
+        skips = peers.skips
+        targets = _spy_gossip(recovery.dispatcher)
+        assert recovery.forward_along_pattern(1, "digest", None) == 2
+        assert targets == [2, 3]
+        assert peers.skips == skips + 1
+        # One probe per copy sent: neither leaf answers the spied copies.
+        harness.run_for(peers.config.request_timeout + 0.005)
+        assert peers.timeouts == 3
+
+    def test_forward_randomly_avoids_suspected_then_falls_back(self):
+        harness = _star(DegradationConfig(max_retries=1))
+        recovery = harness.recovery(0)
+        peers = recovery.peers
+        _time_out(harness, peers, 1, 2)
+        assert peers.is_suspected(1) and peers.is_suspected(2)
+        targets = _spy_gossip(recovery.dispatcher)
+        for _ in range(20):
+            assert recovery.forward_randomly("walk", None) == 1
+        assert set(targets) == {3}
+        _time_out(harness, peers, 3)
+        assert all(peers.is_suspected(n) for n in (1, 2, 3))
+        targets.clear()
+        for _ in range(40):
+            assert recovery.forward_randomly("walk", 1) == 1
+        # All suspected: any neighbor, the previous hop included.
+        assert set(targets) == {1, 2, 3}
+
+    def test_inbound_gossip_and_oob_clear_the_sender_record(self):
+        harness = _star(DegradationConfig(max_retries=1))
+        peers = harness.recovery(0).peers
+        leaf = harness.system.dispatchers[1]
+        _time_out(harness, peers, 1)
+        assert peers.is_suspected(1)
+        leaf.send_gossip(0, PushGossip(1, 1, ()))
+        harness.run_for(0.01)
+        assert not peers.is_suspected(1) and peers.allow(1)
+        _time_out(harness, peers, 1)
+        assert peers.is_suspected(1)
+        leaf.send_oob_request(0, ())
+        harness.run_for(0.01)
+        assert not peers.is_suspected(1) and peers.allow(1)
+
+    def test_untracked_forwarding_draws_like_the_plain_protocol(self):
+        """Without degradation: one ``random()`` per gossip target and one
+        ``randrange`` per walk step, and no tracker bookkeeping."""
+        harness = _star()
+        recovery = harness.recovery(0)
+        assert recovery.peers is None
+        targets = _spy_gossip(recovery.dispatcher)
+        expected_rng = random.Random()
+        expected_rng.setstate(recovery.rng.getstate())
+        expected = [
+            n for n in (1, 2, 3) if expected_rng.random() < recovery.config.p_forward
+        ]
+        expected.append((1, 2, 3)[expected_rng.randrange(3)])
+        recovery.forward_along_pattern(1, "digest", None)
+        recovery.forward_randomly("walk", None)
+        assert targets == expected
+        assert recovery.rng.getstate() == expected_rng.getstate()
 
 
 class TestNetworkComponents:

@@ -2,31 +2,19 @@
 
 from __future__ import annotations
 
-import ast
-import fnmatch
 import pathlib
 
 import pytest
 
 from repro.lint import all_codes, lint_paths
-from repro.lint.config import HotPathConfig, LintConfig
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
-ALL_CODES = [
-    "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP007",
-]
-
-#: REP007 is config-driven: its fixtures only light up under a hot-path
-#: registry naming the fixture's methods.
-HOT_PATH_CONFIG = LintConfig(
-    hot_path=HotPathConfig(methods=("FastLink._transmit_*",))
-)
-FIXTURE_CONFIGS = {"REP007": HOT_PATH_CONFIG}
+ALL_CODES = ["REP001", "REP002", "REP003", "REP004", "REP005", "REP006"]
 
 
-def codes_in(filename: str, config: LintConfig = None) -> set:
-    result = lint_paths([FIXTURES / filename], config, isolated=True)
+def codes_in(filename: str) -> set:
+    result = lint_paths([FIXTURES / filename], isolated=True)
     assert not result.errors, result.errors
     return {finding.code for finding in result.findings}
 
@@ -37,79 +25,18 @@ def test_rule_registry_matches_documented_codes():
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_bad_fixture_triggers_its_rule(code):
-    assert code in codes_in(f"{code.lower()}_bad.py", FIXTURE_CONFIGS.get(code))
+    assert code in codes_in(f"{code.lower()}_bad.py")
 
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_good_fixture_is_clean(code):
-    assert codes_in(f"{code.lower()}_good.py", FIXTURE_CONFIGS.get(code)) == set()
+    assert codes_in(f"{code.lower()}_good.py") == set()
 
 
 @pytest.mark.parametrize("code", ALL_CODES)
 def test_bad_fixture_triggers_only_its_rule(code):
     """Each bad fixture is a focused demonstration, not a grab bag."""
-    assert codes_in(f"{code.lower()}_bad.py", FIXTURE_CONFIGS.get(code)) == {code}
-
-
-class TestRep007Details:
-    def test_inert_without_hot_path_registry(self):
-        assert codes_in("rep007_bad.py") == set()
-
-    def test_flags_both_guard_styles(self):
-        result = lint_paths([FIXTURES / "rep007_bad.py"], HOT_PATH_CONFIG)
-        messages = [f.message for f in result.findings]
-        # `if self._injector is not None:` and the `if self._loss_model`
-        # ternary are both per-event guards.
-        assert len(messages) == 2
-        assert any("self._injector" in m for m in messages)
-        assert any("self._loss_model" in m for m in messages)
-
-    def test_custom_guard_list_overrides_default(self):
-        config = LintConfig(
-            hot_path=HotPathConfig(
-                methods=("FastLink._transmit_*",), guards=("_loss_model",)
-            )
-        )
-        result = lint_paths([FIXTURES / "rep007_bad.py"], config)
-        assert [f.code for f in result.findings] == ["REP007"]
-        assert "_loss_model" in result.findings[0].message
-
-    def test_methods_outside_registry_are_ignored(self):
-        config = LintConfig(
-            hot_path=HotPathConfig(methods=("OtherClass.other_method",))
-        )
-        assert not lint_paths([FIXTURES / "rep007_bad.py"], config).findings
-
-    def test_repo_pyproject_registers_hot_path_methods(self):
-        from repro.lint.config import load_config
-
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        config = load_config(repo_root / "pyproject.toml")
-        assert "Link.transmit" in config.hot_path.methods
-        assert "Link._deliver" in config.hot_path.methods
-        assert "Dispatcher._forward_event" in config.hot_path.methods
-
-    def test_every_repo_hot_path_pattern_names_a_method(self):
-        """A stale registry entry leaves REP007 silently inert."""
-        from repro.lint.config import load_config
-
-        repo_root = pathlib.Path(__file__).resolve().parents[2]
-        config = load_config(repo_root / "pyproject.toml")
-        methods = set()
-        for path in sorted((repo_root / "src").rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if isinstance(node, ast.ClassDef):
-                    methods.update(
-                        f"{node.name}.{item.name}"
-                        for item in node.body
-                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    )
-        stale = [
-            pattern
-            for pattern in config.hot_path.methods
-            if not fnmatch.filter(methods, pattern)
-        ]
-        assert not stale, f"hot-path patterns matching no method: {stale}"
+    assert codes_in(f"{code.lower()}_bad.py") == {code}
 
 
 class TestRep001Details:

@@ -150,6 +150,8 @@ class TestRouteRecording:
         routes = {}
 
         class Probe:
+            peers = None
+
             def __init__(self, node_id):
                 self.node_id = node_id
 
@@ -183,6 +185,7 @@ class TestRouteRecording:
 
         class Probe:
             node_id = 1
+            peers = None
 
             def on_event_received(self, event, route):
                 seen.append(route)
