@@ -7,11 +7,10 @@ while.  The classic two-state Gilbert--Elliott chain captures this with
 four parameters and reduces to Bernoulli loss when the two states have the
 same loss probability.
 
-Models are stateful per link (or per link direction) and draw exclusively
-from the injected ``random.Random`` -- the shared ``"loss"`` stream, or a
-direction's own stream under the per-edge discipline -- so runs remain
+Models are stateful per link and draw exclusively from the injected
+``random.Random`` -- the shared ``"loss"`` stream -- so runs remain
 deterministic and replayable.  A model is the loss component of a link
-direction or of the out-of-band channel, in place of the network's shared
+or of the out-of-band channel, in place of the network's shared
 :class:`BernoulliLoss`; the ``LossModel`` protocol and ``BernoulliLoss``
 live with the links in :mod:`repro.network.link` and are re-exported here.
 """

@@ -9,7 +9,7 @@ REP200    import from a higher layer (engine must not know the protocol)
 REP201    sim-time/engine access in confined-layer code outside the
           declared touchpoint allowlist (engine-independence)
 REP202    mutable module-global (or class-level mutable attribute)
-          reachable from per-node methods (partition safety)
+          reachable from per-node methods (node-state isolation)
 REP203    per-node/per-event class without ``__slots__`` (memory lean)
 REP204    RNG stream requested off the consuming subsystem's declared
           named streams, or with a dynamic name (reproducibility)
@@ -204,8 +204,8 @@ class SharedStateRule(ArchRule):
     name = "shared-mutable-state"
     summary = (
         "per-node class keeps or mutates shared mutable state (module "
-        "global or class-level container); partitioned multi-core "
-        "execution requires node state to be process-local"
+        "global or class-level container); node state must live on "
+        "the node so nodes couple only through messages"
     )
 
     def run_arch(self, ctx: ArchContext, add: AddFn) -> None:
@@ -263,8 +263,8 @@ class SharedStateRule(ArchRule):
                 self.code,
                 f"per-node method {cls.name}.{method.name}() mutates "
                 f"module-global '{target}'{via}; shared mutable state "
-                "breaks partitioned execution — keep node state on the "
-                "instance",
+                "couples nodes outside the message order — keep node "
+                "state on the instance",
             )
 
 

@@ -1,9 +1,9 @@
 """The concurrency-safety rule family, REP300–REP306.
 
 Where REP200–REP205 police the *declared architecture*, these rules
-police the property the ROADMAP's sharding and asyncio items actually
-need: per-node state is node-owned, and everything crossing a node
-boundary passes the Network/engine seams.  They consume the
+police the property serial determinism rests on: per-node state is
+node-owned, and everything crossing a node boundary passes the
+Network/engine seams.  They consume the
 :class:`~.ownership.OwnershipModel` built over the same project model
 and effect fixpoint as the REP200 series:
 
@@ -11,11 +11,11 @@ and effect fixpoint as the REP200 series:
 REP300    node-owned object aliased into another node's state without
           passing a Network/engine touchpoint
 REP301    mutation of an object reachable from ≥2 node instances that
-          is not a declared shared service (cross-partition race)
+          is not a declared shared service (hidden cross-node coupling)
 REP302    ordering decision derived from ``id()``/``hash()`` in code
           with ``sim-schedule`` effects (breaks the (time, seq) merge)
 REP303    boundary-send payload whose object graph closes over the
-          engine or a per-node instance (unserializable partition cut)
+          engine or a per-node instance (payload is not a value)
 REP304    wall-clock/blocking call reachable from protocol-layer code
           (would stall a cooperative asyncio backend)
 REP305    set iteration order escaping into send/schedule through a
@@ -158,8 +158,8 @@ class NodeAliasRule(ConcurrencyRule):
     name = "cross-node-alias"
     summary = (
         "node-owned object aliased into another node's state without "
-        "passing a Network/engine touchpoint; partitioned execution "
-        "requires every cross-node edge to be a serializable seam"
+        "passing a Network/engine touchpoint; every cross-node edge "
+        "must be a serializable seam so nodes never share live state"
     )
 
     def run_concurrency(self, ctx: ConcurrencyContext, add: AddFn) -> None:
@@ -214,8 +214,9 @@ class NodeAliasRule(ConcurrencyRule):
                 self.code,
                 f"{method.qualname} hands self.{attr} to "
                 f"{peer.name}.{func.attr}(), which stores it on the other "
-                "node; a partition cut cannot serialize a live alias — "
-                "send a copy through the network/engine seam instead",
+                "node; a live alias couples two nodes' state outside "
+                "the message order — send a copy through the "
+                "network/engine seam instead",
             )
 
     def _check_store(
@@ -256,8 +257,8 @@ class SharedMutationRule(ConcurrencyRule):
     summary = (
         "one mutable object is captured by every instance of a per-node "
         "class and mutated through it, without being declared a shared "
-        "service; under partitioned execution that mutation is a "
-        "cross-partition race"
+        "service; that mutation couples every node through hidden "
+        "state the event order does not account for"
     )
 
     def run_concurrency(self, ctx: ConcurrencyContext, add: AddFn) -> None:
@@ -309,8 +310,8 @@ class IdentityOrderRule(ConcurrencyRule):
     summary = (
         "ordering decision derived from id()/hash() in code with "
         "sim-schedule effects; memory addresses and hash seeds differ "
-        "across processes, so a partitioned run cannot reproduce the "
-        "(time, seq) merge order — use stable protocol identifiers"
+        "across processes, so a re-run cannot reproduce the "
+        "(time, seq) order — use stable protocol identifiers"
     )
 
     _ORDER_CALLS = frozenset({"sorted", "min", "max"})
@@ -400,8 +401,8 @@ class IdentityOrderRule(ConcurrencyRule):
                     self.code,
                     f"{function.qualname} compares {name}() results while "
                     "holding sim-schedule effects; identity-derived order "
-                    "cannot replay across partitions — compare stable "
-                    "protocol identifiers",
+                    "is not reproducible across processes — compare "
+                    "stable protocol identifiers",
                 )
                 return  # one finding per comparison, not per operand
 
@@ -413,10 +414,10 @@ class PayloadClosureRule(ConcurrencyRule):
     name = "payload-closure"
     summary = (
         "object handed to a boundary send has an attribute bound to the "
-        "engine/transport substrate or a per-node instance; a partition "
-        "cut must pickle the payload graph, and a live engine or node "
-        "reference cannot cross that boundary (extends REP104 from "
-        "callables to payloads)"
+        "engine/transport substrate or a per-node instance; a message "
+        "payload must be a serializable value, and a live engine or node "
+        "reference smuggles shared state across the boundary (extends "
+        "REP104 from callables to payloads)"
     )
 
     def run_concurrency(self, ctx: ConcurrencyContext, add: AddFn) -> None:
@@ -442,8 +443,9 @@ class PayloadClosureRule(ConcurrencyRule):
                         self.code,
                         f"{method.qualname} sends a {payload.name} whose "
                         f"attribute '{attr}' is bound to {bound.name} "
-                        f"({why}); the payload graph must pickle across a "
-                        "partition cut — carry ids, not live references",
+                        f"({why}); the payload graph must be a "
+                        "serializable value — carry ids, not live "
+                        "references",
                     )
 
     @staticmethod

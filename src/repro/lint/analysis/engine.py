@@ -13,7 +13,7 @@ layer graph and per-module effect summary behind ``repro-lint
 --arch-report``; :func:`build_ownership_report` does the same for the
 ownership model behind ``--ownership-report`` — the node-ownership
 graph, the touchpoints each cross-node edge uses, and the candidate
-partition-cut seams the sharding work will consume.
+partition-cut seams.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Interprocedural ownership / escape analysis over per-node classes.
 
-ROADMAP item 2 (multi-core sharding) and item 3 (asyncio backend) need
-one property the effect pass alone cannot show: *every object a node
-mutates is owned by that node*, and everything crossing a node boundary
-goes through the Network/engine seams.  This module assigns each
+Serial determinism rests on one property the effect pass alone cannot
+show: *every object a node mutates is owned by that node*, and
+everything crossing a node boundary goes through the Network/engine
+seams.  This module assigns each
 instance attribute of a per-node class an **owner** and tracks how
 objects escape through calls, container stores, and constructions:
 
@@ -35,8 +35,9 @@ On top of these, :func:`shared_captures` finds construction sites of
 per-node classes whose arguments are loop-invariant (one object handed
 to every instance), and :func:`build_ownership_report` emits the
 node-ownership graph, the touchpoints every cross-node edge uses, and
-the candidate partition-cut seams — the input artifact the sharding
-work consumes (``repro-lint --ownership-report``).
+the candidate partition-cut seams: where node state crosses node
+boundaries, and through which touchpoints (``repro-lint
+--ownership-report``).
 
 Everything is syntactic and deliberately conservative-but-shallow,
 like the rest of the analysis package.

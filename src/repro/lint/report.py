@@ -197,8 +197,8 @@ def render_arch_text(report: Dict[str, Any]) -> str:
 
 
 def render_ownership_json(report: Dict[str, Any]) -> str:
-    """Stable JSON form of the ownership report (the CI artifact and the
-    input the partition/sharding tooling consumes)."""
+    """Stable JSON form of the ownership report (the CI artifact): per-node
+    ownership, cross-node edges and shared services, byte-stable."""
     return json.dumps(report, indent=2, sort_keys=True)
 
 

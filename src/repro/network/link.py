@@ -6,10 +6,10 @@ between two dispatchers:
 * **Serialization**: a message of ``size_bits`` occupies the sender side of
   the link for ``size_bits / bandwidth_bps`` seconds; messages queue FIFO
   per direction (each direction has its own transmitter).
-* **Loss**: each direction owns a loss component -- ``None`` for a lossless
-  direction, or a :class:`LossModel` together with the random stream it
-  draws from: :class:`BernoulliLoss` for the paper's i.i.d. ε, or a
-  stateful model such as Gilbert--Elliott burst loss.  A dropped message
+* **Loss**: each link owns a loss component -- ``None`` for a lossless
+  link, or a :class:`LossModel` drawing from the network's ``"loss"``
+  stream: :class:`BernoulliLoss` for the paper's i.i.d. ε, or a stateful
+  model such as Gilbert--Elliott burst loss.  A dropped message
   still occupies the transmitter -- the bits are sent, they just arrive
   corrupted and are discarded, as on a real lossy channel.
 * **Propagation**: a fixed ``propagation_delay`` is added after
@@ -20,17 +20,16 @@ between two dispatchers:
 Components, not variants
 ------------------------
 There is one :meth:`Link.transmit` and one :meth:`Link._deliver`.  What
-differs between links is data fixed at setup: each direction's loss
-component and stream, and the link's emission -- the simulator's
-``schedule_call_at``, or the seam export of a sharded run
-(:meth:`Link.mark_boundary`).  Stateless components are built once per
-network and shared by every link; a lossless direction draws nothing.
+differs between links is data fixed at setup: the loss component.
+Arrivals go straight to the simulator's ``schedule_call_at``.  Stateless
+components are built once per network and shared by every link; a
+lossless link draws nothing.
 """
 
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from repro.network.message import Message
 
@@ -39,18 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["BernoulliLoss", "Link", "LinkStats", "LossModel", "bernoulli"]
 
-#: ``emit(arrival_time, deliver, message, from_node, to_node)``: hands an
-#: arrival to the calendar (``Simulator.schedule_call_at``) or to a seam.
-Emit = Callable[..., None]
-
 
 class LossModel(Protocol):
     """Decides, per transmission, whether the packet is lost.
 
     Implementations may keep per-link state (e.g. the Gilbert--Elliott
     channel state) but must derive all randomness from the ``rng`` handed
-    in: the shared ``"loss"`` stream, or a link direction's own stream
-    under the per-edge discipline.
+    in: the network's ``"loss"`` stream.
     """
 
     def should_drop(self, rng: random.Random) -> bool:
@@ -111,17 +105,13 @@ class LinkStats:
 
 
 class _Direction:
-    """One direction of a link: its transmitter, receiver and loss."""
+    """One direction of a link: its transmitter queue and receiver."""
 
-    __slots__ = ("busy_until", "peer", "loss", "rng")
+    __slots__ = ("busy_until", "peer")
 
-    def __init__(
-        self, peer: int, loss: Optional[LossModel], rng: random.Random
-    ) -> None:
+    def __init__(self, peer: int) -> None:
         self.busy_until = 0.0
         self.peer = peer
-        self.loss = loss
-        self.rng = rng
 
 
 class Link:
@@ -146,17 +136,6 @@ class Link:
         Loss component shared by both directions; defaults to
         ``BernoulliLoss(error_rate)`` (``None`` when ε = 0).  A stateful
         model (e.g. Gilbert--Elliott burst loss) replaces the ε draw.
-    dir_rngs:
-        Per-*direction* loss streams keyed by sender id (the "per-edge"
-        loss discipline): when set, loss draws consume the sender
-        direction's private stream instead of the shared ``rng``, making
-        each direction's drop sequence a function of its own traffic only.
-        Required by sharded execution (repro.shard), where the two
-        directions of a cut link run in different workers.
-    dir_models:
-        Per-direction loss models keyed by sender id; accompanies
-        ``dir_rngs`` under Gilbert--Elliott plans (burst state is per
-        direction for the same reason the stream is).
     """
 
     __slots__ = (
@@ -170,8 +149,9 @@ class Link:
         "stats",
         # Sender id -> _Direction.
         "_dirs",
-        # Where arrivals go: the calendar, or a seam on a boundary link.
-        "_emit",
+        # Loss component (None when lossless) and the stream it draws from.
+        "_loss",
+        "_rng",
     )
 
     def __init__(
@@ -184,8 +164,6 @@ class Link:
         error_rate: float,
         rng: random.Random,
         loss_model: Optional[LossModel] = None,
-        dir_rngs: Optional[dict] = None,
-        dir_models: Optional[dict] = None,
     ) -> None:
         if node_a == node_b:
             raise ValueError(f"self-link at node {node_a}")
@@ -201,48 +179,21 @@ class Link:
         self.error_rate = error_rate
         self.up = True
         self.stats = LinkStats()
-        if dir_models is None:
-            shared = loss_model if loss_model is not None else bernoulli(error_rate)
-            dir_models = {node_a: shared, node_b: shared}
-        if dir_rngs is None:
-            dir_rngs = {node_a: rng, node_b: rng}
-        self._dirs = {
-            node_a: _Direction(node_b, dir_models[node_a], dir_rngs[node_a]),
-            node_b: _Direction(node_a, dir_models[node_b], dir_rngs[node_b]),
-        }
-        self._emit: Emit = network._schedule_at
-
-    def mark_boundary(self, emit: Emit) -> None:
-        """Turn this link into a shard-boundary link.
-
-        Transmissions keep the exact serial semantics (counters, busy
-        queue, loss draw); only the arrival goes to ``emit`` instead of
-        the local calendar.  The two directions of a cut link run in
-        different workers, so a lossy link whose directions share one
-        stream cannot reproduce the serial draws: sharded runs with loss
-        require ``loss_discipline='per-edge'``.
-        """
-        a, b = self._dirs[self.node_a], self._dirs[self.node_b]
-        if (a.loss is not None or b.loss is not None) and a.rng is b.rng:
-            raise ValueError(
-                "boundary link with loss needs per-direction streams "
-                "(loss_discipline='per-edge')"
-            )
-        self._emit = emit
+        self._dirs = {node_a: _Direction(node_b), node_b: _Direction(node_a)}
+        self._loss = loss_model if loss_model is not None else bernoulli(error_rate)
+        self._rng = rng
 
     def set_error_rate(self, error_rate: float) -> None:
         """Change ε mid-run (tests use it to open and close loss windows).
 
-        Directions whose loss is a stateful model keep it: ε only governs
-        the Bernoulli directions.
+        A link whose loss is a stateful model keeps it: ε only governs
+        Bernoulli loss.
         """
         if not 0.0 <= error_rate <= 1.0:
             raise ValueError(f"error_rate must be in [0, 1], got {error_rate}")
         self.error_rate = error_rate
-        loss = bernoulli(error_rate)
-        for direction in self._dirs.values():
-            if direction.loss is None or isinstance(direction.loss, BernoulliLoss):
-                direction.loss = loss
+        if self._loss is None or isinstance(self._loss, BernoulliLoss):
+            self._loss = bernoulli(error_rate)
 
     # ------------------------------------------------------------------
     def other_end(self, node: int) -> int:
@@ -266,6 +217,7 @@ class Link:
         cannot know the link state before trying.
         """
         network = self.network
+        sim = network.sim
         observer = network.observer
         stats = self.stats
         kind = message.kind
@@ -278,18 +230,18 @@ class Link:
         direction = self._dirs[from_node]
         serialization = message.size_bits / self.bandwidth_bps
         start = direction.busy_until
-        now = network.sim._now  # raw clock slot; the ``now`` property costs a call
+        now = sim._now  # raw clock slot; the ``now`` property costs a call
         if now > start:
             start = now
         done = start + serialization
         direction.busy_until = done
         stats.busy_time += serialization
-        loss = direction.loss
-        if loss is not None and loss.should_drop(direction.rng):
+        loss = self._loss
+        if loss is not None and loss.should_drop(self._rng):
             stats.lost += 1
             observer.count_drop(kind)
             return True
-        self._emit(
+        sim.schedule_call_at(
             done + self.propagation_delay,
             self._deliver,
             message,

@@ -22,7 +22,7 @@ from typing import (
     Tuple,
 )
 
-from repro.network.link import Emit, Link, LossModel, bernoulli
+from repro.network.link import Link, LossModel, bernoulli
 from repro.network.message import Message, MessageKind
 from repro.network.node import Node
 from repro.sim.engine import Simulator
@@ -86,16 +86,7 @@ class Network:
     loss_model_factory:
         Optional ``(node_a, node_b) -> LossModel`` called once per link;
         installs a stateful loss model (e.g. Gilbert--Elliott) in place of
-        the shared Bernoulli ``error_rate`` component.  Under the per-edge
-        discipline (``link_rng_factory`` set) it is called once per link
-        *direction* instead, as ``factory(sender, receiver)``.
-    link_rng_factory:
-        Optional ``(from_node, to_node) -> random stream`` enabling the
-        per-edge loss discipline: every link direction gets a private
-        stream (and, with ``loss_model_factory``, a private loss model),
-        so loss draws depend only on that direction's own traffic instead
-        of the global transmission order.  Required by sharded execution;
-        see ``SimulationConfig.loss_discipline``.
+        the shared Bernoulli ``error_rate`` component.
     oob_loss_model:
         Optional stateful loss model for the out-of-band channel, replacing
         the Bernoulli ``oob_error_rate`` component.
@@ -108,7 +99,6 @@ class Network:
         loss_rng: random.Random,
         observer: Optional[TrafficObserver] = None,
         loss_model_factory: Optional[Callable[[int, int], LossModel]] = None,
-        link_rng_factory: Optional[Callable[[int, int], random.Random]] = None,
         oob_loss_model: Optional[LossModel] = None,
     ) -> None:
         self.sim = sim
@@ -116,7 +106,6 @@ class Network:
         self._loss_rng = loss_rng
         self.observer: TrafficObserver = observer or _NullObserver()
         self._loss_model_factory = loss_model_factory
-        self._link_rng_factory = link_rng_factory
         self._oob_loss_model = oob_loss_model
         self._nodes: Dict[int, Node] = {}
         # Nodes currently able to receive: ``_nodes`` minus crashed nodes.
@@ -129,17 +118,13 @@ class Network:
         # adjacency: node id -> {neighbor id -> Link}
         self._adjacency: Dict[int, Dict[int, Link]] = {}
         self._links: Dict[Tuple[int, int], Link] = {}
-        # Components built once and shared by every link: the calendar
-        # emission and the Bernoulli loss of ε.
-        self._schedule_at: Emit = sim.schedule_call_at
+        # The Bernoulli loss of ε, built once and shared by every link.
         self._link_loss = bernoulli(config.error_rate)
-        # Out-of-band loss and emission (a seam under sharded execution).
         self._oob_loss: Optional[LossModel] = (
             oob_loss_model
             if oob_loss_model is not None
             else bernoulli(config.oob_error_rate)
         )
-        self._oob_emit: Emit = self._schedule_at
 
     # ------------------------------------------------------------------
     # Node / link management
@@ -200,18 +185,7 @@ class Network:
         if key in self._links:
             raise ValueError(f"link {key} already exists")
         factory = self._loss_model_factory
-        rng_factory = self._link_rng_factory
-        loss_model: Optional[LossModel] = self._link_loss
-        dir_rngs: Optional[dict] = None
-        dir_models: Optional[dict] = None
-        if rng_factory is not None:
-            # Per-edge discipline: each direction owns its stream (and its
-            # loss model, when a factory is configured).
-            dir_rngs = {a: rng_factory(a, b), b: rng_factory(b, a)}
-            if factory is not None:
-                dir_models = {a: factory(a, b), b: factory(b, a)}
-        elif factory is not None:
-            loss_model = factory(a, b)
+        loss_model = self._link_loss if factory is None else factory(a, b)
         link = Link(
             self,
             a,
@@ -221,8 +195,6 @@ class Network:
             error_rate=self.config.error_rate,
             rng=self._loss_rng,
             loss_model=loss_model,
-            dir_rngs=dir_rngs,
-            dir_models=dir_models,
         )
         self._links[key] = link
         self._adjacency[a][b] = link
@@ -297,16 +269,6 @@ class Network:
         if self._oob_loss_model is None:
             self._oob_loss = bernoulli(rate)
 
-    def mark_oob_boundary(self, emit: Emit) -> None:
-        """Route out-of-band arrivals through ``emit`` (a sharded run's seam).
-
-        Sends keep the serial semantics up to the arrival: the sender is
-        charged and the loss decision made exactly as serial would.
-        Sharded configs forbid out-of-band loss (config validation), so no
-        send draws from the shared stream.
-        """
-        self._oob_emit = emit
-
     def send_oob(self, from_node: int, to_node: int, message: Message) -> bool:
         """Send over the out-of-band unicast channel (direct, UDP-like).
 
@@ -327,8 +289,9 @@ class Network:
         if loss is not None and loss.should_drop(self._loss_rng):
             observer.count_drop(kind)
             return True
-        self._oob_emit(
-            self.sim._now + self.config.oob_latency,
+        sim = self.sim
+        sim.schedule_call_at(
+            sim._now + self.config.oob_latency,
             self._deliver_oob,
             message,
             from_node,

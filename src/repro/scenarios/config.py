@@ -162,26 +162,12 @@ class SimulationConfig:
     bin_width: float = 0.1
     #: Master seed for all random streams.
     seed: int = 42
-    #: Link-loss draw discipline.  "shared" (default): every link draws
-    #: from the single run-wide "loss" stream in global transmission
-    #: order -- byte-identical to all frozen baselines.  "per-edge": each
-    #: link *direction* owns a private splitmix64 stream (and, under
-    #: Gilbert--Elliott plans, a private burst model per direction), so a
-    #: link's loss draws depend only on that direction's own traffic.
-    #: This is the discipline sharded runs require: it makes loss draws
-    #: independent of the global interleaving of transmissions, which a
-    #: partitioned simulation cannot reproduce.  A different but equally
-    #: valid random instantiation -- compare per-edge runs against
-    #: per-edge baselines, never against "shared" ones.
+    #: Retired execution options.  Sharded execution and its private
+    #: per-direction loss streams were removed; only ``"shared"`` and ``1``
+    #: are accepted.  The fields stay because ``repr(config)`` opens every
+    #: ``RunResult.signature()``, whose digests are pinned by the repo
+    #: benchmark; they go when those digests are re-pinned.
     loss_discipline: str = "shared"
-    #: Number of overlay partitions for a single-run sharded execution
-    #: (conservative-lookahead parallel DES; see repro.shard).  ``1``
-    #: (default) runs the plain serial simulator.  Deliberately excluded
-    #: from equality/signature comparisons (``compare=False``): the shard
-    #: count is an execution detail, and ``RunResult.signature()`` is
-    #: byte-identical across shard counts by contract.  Worker *processes*
-    #: are capped at the host's core count at run time; the partition
-    #: count (and hence the result) never changes with the host.
     shards: int = dataclasses.field(default=1, compare=False)
 
     # ------------------------------------------------------------------
@@ -241,73 +227,23 @@ class SimulationConfig:
             raise ValueError("reconfiguration_interval must be positive or None")
         if self.faults is not None:
             self.faults.validate(self.n_dispatchers)
-        if self.loss_discipline not in ("shared", "per-edge"):
-            raise ValueError(f"unknown loss_discipline {self.loss_discipline!r}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shards > 1:
-            self._validate_shardable()
+        if self.loss_discipline != "shared":
+            raise ValueError(
+                f"loss_discipline={self.loss_discipline!r} is not supported: "
+                "sharded execution and its per-direction loss streams were "
+                "removed; only 'shared' remains"
+            )
+        if self.shards != 1:
+            raise ValueError(
+                f"shards={self.shards!r} is not supported: sharded execution "
+                "was removed; every run is serial (shards=1)"
+            )
         if not self.measure_start < self.effective_measure_end <= self.sim_time:
             raise ValueError(
                 "measurement window must satisfy "
                 f"measure_start < measure_end <= sim_time; got "
                 f"[{self.measure_start}, {self.effective_measure_end}] "
                 f"with sim_time={self.sim_time}"
-            )
-
-    def _validate_shardable(self) -> None:
-        """Reject configurations the sharded runtime cannot execute
-        bit-identically to serial (repro.shard; DESIGN.md "Seam-to-runtime
-        mapping").  Every rejection here is a determinism argument, not an
-        implementation gap."""
-        if self.propagation_delay <= 0.0:
-            raise ValueError(
-                "sharded runs need propagation_delay > 0: the cut-link "
-                "propagation delay is the conservative lookahead window"
-            )
-        if self.algorithm == "gossip-dissemination":
-            raise ValueError(
-                "gossip-dissemination embeds full events inside gossip "
-                "payloads, which the seam does not re-intern; run it serial"
-            )
-        if self.reconfiguration_interval is not None:
-            raise ValueError(
-                "sharded runs do not support topological reconfiguration "
-                "(the partition is computed once from the static overlay)"
-            )
-        if self.publish_model != "poisson":
-            raise ValueError(
-                "sharded runs need publish_model='poisson': periodic "
-                "publishing schedules simultaneous cross-shard events whose "
-                "serial tie order a partitioned run cannot reproduce"
-            )
-        if self.oob_error_rate > 0.0:
-            raise ValueError(
-                "sharded runs need oob_error_rate=0: out-of-band loss draws "
-                "consume the shared 'loss' stream in global send order"
-            )
-        loss_active = self.error_rate > 0.0
-        if self.faults is not None:
-            plan = self.faults
-            if plan.churn is not None or plan.partition_process is not None:
-                raise ValueError(
-                    "sharded runs support scripted crashes/partitions only; "
-                    "stochastic churn/partition processes draw inter-event "
-                    "gaps whose replication across shards is not defined"
-                )
-            if plan.oob_loss is not None:
-                raise ValueError(
-                    "sharded runs do not support out-of-band burst loss "
-                    "(shared-stream draws in global send order)"
-                )
-            if plan.link_loss is not None:
-                loss_active = True
-        if loss_active and self.loss_discipline != "per-edge":
-            raise ValueError(
-                "sharded runs with link loss need loss_discipline='per-edge' "
-                "(the shared 'loss' stream is consumed in global transmission "
-                "order, which a partitioned run cannot reproduce); compare "
-                "against a shards=1 per-edge run"
             )
 
     # ------------------------------------------------------------------

@@ -96,10 +96,9 @@ def config_digest(config: SimulationConfig) -> str:
     stable across processes, hosts, and interpreter restarts -- unlike
     ``hash()``, which is salted per process.
 
-    ``shards`` is excluded: it is an execution detail (``compare=False``
-    on the dataclass) with a byte-identical-result contract, so a
-    campaign cell journalled by a serial run satisfies the same cell
-    requested sharded, and vice versa.
+    ``shards`` (``compare=False`` on the dataclass) is left out, so
+    digests match those of campaign directories journaled while the
+    field still selected sharded execution, and those directories resume.
     """
     fields = config_to_dict(config)
     fields.pop("shards", None)

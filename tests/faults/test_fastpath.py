@@ -51,10 +51,10 @@ def _config(**overrides) -> SimulationConfig:
     return SimulationConfig(**base)
 
 
-def _pair(config: NetworkConfig, rng: random.Random, **network_options):
+def _pair(config: NetworkConfig, rng: random.Random):
     sim = Simulator()
     counters = MessageCounters(node_count=2)
-    network = Network(sim, config, rng, counters, **network_options)
+    network = Network(sim, config, rng, counters)
     nodes = [Recorder(0, sim), Recorder(1, sim)]
     for node in nodes:
         network.add_node(node)
@@ -176,24 +176,12 @@ class TestSinglePath:
 
 class TestNetworkComponents:
     def test_lossless_link_draws_nothing(self):
-        """Under both loss disciplines: the shared stream, and the private
-        stream of each link direction (per-edge)."""
-        shared = random.Random(7)
-        streams = {}
-
-        def per_edge(a, b):
-            streams[a, b] = random.Random(a * 10 + b)
-            return streams[a, b]
-
-        for options in ({}, {"link_rng_factory": per_edge}):
-            sim, network, counters, nodes = _pair(
-                NetworkConfig(error_rate=0.0), shared, **options
-            )
-            before = [rng.getstate() for rng in (shared, *streams.values())]
-            _send(sim, network, 50)
-            assert [rng.getstate() for rng in (shared, *streams.values())] == before
-            assert len(nodes[0].received) == len(nodes[1].received) == 50
-        assert sorted(streams) == [(0, 1), (1, 0)]
+        rng = random.Random(7)
+        sim, network, counters, nodes = _pair(NetworkConfig(error_rate=0.0), rng)
+        before = rng.getstate()
+        _send(sim, network, 50)
+        assert rng.getstate() == before
+        assert len(nodes[0].received) == len(nodes[1].received) == 50
 
     def test_set_error_rate_takes_effect_mid_run(self):
         rng = random.Random(7)

@@ -207,63 +207,3 @@ class TestLinkValidation:
         link = network.link(0, 1)
         # 10 x 10ms busy over 0.1 s elapsed: one direction fully busy.
         assert link.stats.utilization(0.1) == pytest.approx(0.5)
-
-
-class TestBoundary:
-    """A shard-boundary link keeps the serial loss decision, which it can
-    only do when each lossy direction draws from its own stream."""
-
-    @staticmethod
-    def _network(config, **options):
-        sim = Simulator()
-        network = Network(sim, config, random.Random(0), **options)
-        for node_id in (0, 1):
-            network.add_node(Recorder(node_id, sim))
-        return sim, network, network.add_link(0, 1)
-
-    @staticmethod
-    def _per_edge(a, b):
-        return random.Random(a * 10 + b)
-
-    def test_shared_stream_bernoulli_loss_rejected(self):
-        sim, network, link = self._network(NetworkConfig(error_rate=0.1))
-        with pytest.raises(ValueError, match="per-edge"):
-            link.mark_boundary(sim.schedule_call_at)
-
-    def test_shared_stream_loss_model_rejected_at_zero_epsilon(self):
-        """A burst-loss model draws even when ε = 0."""
-        from repro.faults.loss import GilbertElliottConfig, GilbertElliottFactory
-
-        factory = GilbertElliottFactory(GilbertElliottConfig.from_epsilon(0.2))
-        sim, network, link = self._network(
-            NetworkConfig(error_rate=0.0), loss_model_factory=factory
-        )
-        with pytest.raises(ValueError, match="per-edge"):
-            link.mark_boundary(sim.schedule_call_at)
-
-    def test_lossless_shared_stream_accepted(self):
-        sim, network, link = self._network(NetworkConfig(error_rate=0.0))
-        link.mark_boundary(sim.schedule_call_at)
-
-    def test_per_edge_loss_model_exports_like_serial(self):
-        from repro.faults.loss import GilbertElliottConfig, GilbertElliottFactory
-
-        def run(boundary):
-            factory = GilbertElliottFactory(GilbertElliottConfig.from_epsilon(0.2))
-            sim, network, link = self._network(
-                NetworkConfig(error_rate=0.0),
-                loss_model_factory=factory,
-                link_rng_factory=self._per_edge,
-            )
-            exported = []
-            if boundary:
-                link.mark_boundary(lambda *arrival: exported.append(arrival))
-            for _ in range(200):
-                network.send(0, 1, event_message())
-            sim.run()
-            return link.stats.lost, exported, network.node(1).received
-
-        lost, exported, _ = run(boundary=True)
-        serial_lost, _, received = run(boundary=False)
-        assert lost == serial_lost > 0
-        assert len(exported) == len(received) == 200 - lost

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.scenarios.config import SimulationConfig
+from repro.scenarios.experiments import base_config
+from repro.scenarios.serialize import config_digest
 
 
 class TestFigure2Defaults:
@@ -79,6 +81,38 @@ class TestValidation:
         assert large.effective_gossip_rng == "compact"
         forced = large.replace(gossip_rng="mt")
         assert forced.effective_gossip_rng == "mt"
+
+
+class TestRetiredExecutionOptions:
+    """Sharded execution and its loss discipline were removed; their
+    fields only accept the serial values, and fail at construction."""
+
+    def test_shards_other_than_one_rejected(self):
+        with pytest.raises(ValueError, match="shards"):
+            SimulationConfig(shards=2)
+
+    def test_loss_discipline_other_than_shared_rejected(self):
+        with pytest.raises(ValueError, match="loss_discipline"):
+            SimulationConfig(loss_discipline="per-edge")
+
+
+class TestConfigDigest:
+    """Campaign directories are keyed by ``config_digest``; these digests
+    were journaled before the retired fields were restricted, so a
+    directory written then must still resume."""
+
+    def test_digest_matches_journals_of_earlier_versions(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PAPER_SCALE", raising=False)
+        assert config_digest(SimulationConfig()) == (
+            "d4d5cdaf79b0a2643d62dd7e06ac9917fe73c6b8757b29a524b6771dc9acedcf"
+        )
+        assert config_digest(base_config(seed=1)) == (
+            "f635f97fc8a672ab8d46a6621ce0214ceecc0a4fb2e758740d25779af3b8d044"
+        )
+
+    def test_other_fields_still_matter(self):
+        config = SimulationConfig()
+        assert config_digest(config) != config_digest(config.replace(seed=43))
 
 
 class TestDerivedQuantities:
