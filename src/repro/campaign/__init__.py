@@ -10,10 +10,10 @@ system survive its faults:
   campaign resumes instead of rerunning (and the merged result is
   bit-identical to an uninterrupted run).
 * :mod:`repro.campaign.executor` -- :class:`ResilientProcessExecutor`,
-  a process fan-out with per-cell deadlines (hung-worker detection),
-  bounded retries with exponential backoff, pool rebuild after worker
-  crashes, and quarantine (never silent loss) of cells that exhaust
-  their retries.
+  the one process pool behind every ``jobs=N`` fan-out: optional
+  per-cell deadlines (hung-worker detection), bounded retries with
+  exponential backoff, pool rebuild after worker crashes, and quarantine
+  (never silent loss) of cells that exhaust their retries.
 * :mod:`repro.campaign.runtime` -- :func:`run_campaign`, the journal x
   executor composition behind every ``campaign_dir=`` parameter in the
   scenario layer.

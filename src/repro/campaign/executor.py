@@ -1,25 +1,27 @@
 """Worker-failure-tolerant process fan-out.
 
-:class:`ResilientProcessExecutor` runs the same contract as
-:class:`~repro.parallel.executor.ProcessExecutor` -- ordered ``map`` of a
-pure picklable function -- but survives the failure modes a long campaign
-actually meets:
+:class:`ResilientProcessExecutor` is the one process pool behind every
+``jobs=N`` fan-out (see :func:`~repro.parallel.executor.get_executor`).
+It runs the :class:`~repro.parallel.executor.ExperimentExecutor`
+contract -- ordered ``map_report`` of a pure picklable function -- and
+survives the failure modes a long campaign actually meets:
 
 * **crashed workers** (OOM kill, segfault): a dead worker breaks the
   whole :class:`~concurrent.futures.ProcessPoolExecutor`; the pool is
   rebuilt and every in-flight cell is retried (each charged one attempt,
   since the coordinator cannot tell victim from bystander);
-* **hung workers**: each cell gets a wall-clock deadline from the moment
-  it is submitted; a cell past its deadline gets the pool's processes
-  killed (the only way to stop a running task), is charged one attempt,
-  and innocent in-flight cells are resubmitted without charge;
+* **hung workers** (only when constructed with ``cell_timeout``): each
+  cell gets a wall-clock deadline from the moment it is submitted; a
+  cell past its deadline gets the pool's processes killed (the only way
+  to stop a running task), is charged one attempt, and innocent
+  in-flight cells are resubmitted without charge;
 * **raising cells**: retried with exponential backoff
   (``backoff_base * backoff_factor**(attempt-1)``, capped at
   ``backoff_max``).
 
 A cell that fails ``1 + max_retries`` attempts is *quarantined*: it
 surfaces as a :class:`~repro.parallel.executor.CellFailure` in the
-:class:`ExecutorReport` (and from :meth:`map` as a
+:class:`~repro.parallel.executor.ExecutorReport` (and from ``map`` as a
 :class:`~repro.parallel.executor.CellFailureError` carrying the ordered
 partial results) -- never silently dropped.
 
@@ -40,35 +42,14 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple, TypeVar, cast
 
-from repro.parallel.executor import (
-    CellFailure,
-    CellFailureError,
-    ExperimentExecutor,
-)
+from repro.parallel.executor import CellFailure, ExecutorReport, ExperimentExecutor
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["ExecutorReport", "ResilientProcessExecutor"]
-
-
-@dataclass
-class ExecutorReport:
-    """What one resilient ``map`` did beyond computing results."""
-
-    #: Resubmissions that charged an attempt (exceptions, crashes, hangs).
-    retries: int = 0
-    #: Cells whose deadline expired at least once.
-    timeouts: int = 0
-    #: Attempts lost to a broken pool (worker death).
-    worker_crashes: int = 0
-    #: Times the process pool was torn down and rebuilt.
-    pool_rebuilds: int = 0
-    #: Cells that exhausted their attempts, in index order.
-    failures: List[CellFailure] = field(default_factory=list)
 
 
 class _Cell:
@@ -131,13 +112,6 @@ class ResilientProcessExecutor(ExperimentExecutor):
         self._sleep = sleep
 
     # ------------------------------------------------------------------
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Ordered results; raises :class:`CellFailureError` on quarantine."""
-        results, report = self.map_report(fn, items)
-        if report.failures:
-            raise CellFailureError(report.failures, results)
-        return cast(List[R], results)
-
     def map_report(
         self,
         fn: Callable[[T], R],
@@ -146,11 +120,8 @@ class ResilientProcessExecutor(ExperimentExecutor):
     ) -> Tuple[List[Optional[R]], ExecutorReport]:
         """Run every item, retrying failures; never raises for cell faults.
 
-        Returns the ordered result list (``None`` at quarantined slots)
-        plus the :class:`ExecutorReport`.  ``on_result(index, result)``
-        fires in the coordinator as each cell completes -- the campaign
-        runtime journals incrementally through it, so results survive
-        even if the coordinator is later killed.
+        ``on_result`` fires in the coordinator, so results journaled
+        through it survive even if the coordinator is later killed.
         """
         items = list(items)
         report = ExecutorReport()

@@ -12,8 +12,8 @@ identically for both families.
 layer graph and per-module effect summary behind ``repro-lint
 --arch-report``; :func:`build_ownership_report` does the same for the
 ownership model behind ``--ownership-report`` — the node-ownership
-graph, the touchpoints each cross-node edge uses, and the candidate
-partition-cut seams.
+graph, the touchpoints each cross-node edge uses, and the shared
+services every node captures.
 """
 
 from __future__ import annotations
@@ -198,15 +198,15 @@ def _has_slots(context: ArchContext, qualname: str) -> bool:
 def build_ownership_report(
     files: Sequence[Tuple[Path, str]], config: Optional[LintConfig] = None
 ) -> Dict[str, Any]:
-    """The node-ownership graph + partition-cut seams, as plain data.
+    """The node-ownership graph, cross-node edges and shared services.
 
     Per per-node class: every instance attribute with its inferred owner
     (node-local / engine / shared / shared-immutable / link-payload).
     ``cross_node_edges`` lists each boundary-attr call site — the places
-    a partition cut must turn into serialized sends.  ``shared_services``
-    lists each loop-invariant object captured by every node instance,
-    whether it is mutated, and whether the config declares it.  Like the
-    arch report, everything is sorted so output is byte-stable.
+    node state leaves its node.  ``shared_services`` lists each
+    loop-invariant object captured by every node instance, whether it is
+    mutated, and whether the config declares it.  Like the arch report,
+    everything is sorted so output is byte-stable.
     """
     import ast as _ast
 
@@ -313,33 +313,9 @@ def build_ownership_report(
         for capture in concurrency.captures
     ]
 
-    seams = {
-        "declared_touchpoints": sorted(config.layers.engine_touchpoints),
-        "boundary_attrs_used": sorted(
-            {edge["touchpoint"] for edge in cross_node_edges}
-        ),
-        "shared_services": sorted(
-            {
-                service["object"]
-                for service in shared_services
-                if service["declared"]
-            }
-        ),
-        "undeclared_shared_mutable": sorted(
-            {
-                service["object"]
-                for service in shared_services
-                if service["mutated"]
-                and not service["declared"]
-                and not service["substrate"]
-            }
-        ),
-    }
-
     return {
         "per_node_classes": per_node,
         "cross_node_edges": cross_node_edges,
         "shared_services": shared_services,
-        "partition_seams": seams,
         "files_analyzed": len(project.modules),
     }

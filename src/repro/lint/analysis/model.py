@@ -257,9 +257,9 @@ class Project:
     ]:
         """Find the class/function a canonical dotted name refers to.
 
-        Chases re-exports: ``repro.parallel.ProcessExecutor`` resolves
+        Chases re-exports: ``repro.parallel.SerialExecutor`` resolves
         through ``repro/parallel/__init__.py``'s ``from .executor import
-        ProcessExecutor`` to the defining module.
+        SerialExecutor`` to the defining module.
         """
         if _depth > 8:  # re-export cycle guard
             return None

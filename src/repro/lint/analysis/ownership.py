@@ -15,7 +15,7 @@ objects escape through calls, container stores, and constructions:
                     instances (an interner, a registry, a shared cache)
 ``shared-immutable``constants, tuples, frozen dataclass configs
 ``link-payload``    allocated locally but handed to a boundary send —
-                    the object graph a partition cut would serialize
+                    the object graph a message carries between nodes
 ==================  ====================================================
 
 Three interprocedural summaries power the classification and the
@@ -35,8 +35,7 @@ On top of these, :func:`shared_captures` finds construction sites of
 per-node classes whose arguments are loop-invariant (one object handed
 to every instance), and :func:`build_ownership_report` emits the
 node-ownership graph, the touchpoints every cross-node edge uses, and
-the candidate partition-cut seams: where node state crosses node
-boundaries, and through which touchpoints (``repro-lint
+the shared services every node captures (``repro-lint
 --ownership-report``).
 
 Everything is syntactic and deliberately conservative-but-shallow,

@@ -46,7 +46,8 @@ _SCHEDULE_ATTRS = frozenset(
 )
 #: Constructors/factories whose result is an experiment executor or pool.
 _EXECUTOR_FACTORIES = frozenset(
-    {"ProcessExecutor", "SerialExecutor", "get_executor", "ProcessPoolExecutor"}
+    {"ResilientProcessExecutor", "SerialExecutor", "get_executor",
+     "ProcessPoolExecutor"}
 )
 #: Methods construction-state initializers exempt from REP100.
 _CONSTRUCTORS = frozenset({"__init__", "__new__", "__setstate__"})
@@ -436,7 +437,7 @@ class ExecutorPicklableRule(AnalysisRule):
             func_expr = node.func
             if not (
                 isinstance(func_expr, ast.Attribute)
-                and func_expr.attr in ("map", "submit")
+                and func_expr.attr in ("map", "map_report", "submit")
                 and node.args
             ):
                 continue
@@ -459,7 +460,7 @@ class ExecutorPicklableRule(AnalysisRule):
                     submitted,
                     self.code,
                     f"{problem} submitted to an experiment executor; "
-                    "ProcessExecutor pickles submissions, so they must be "
+                    "a process pool pickles submissions, so they must be "
                     "module-level, closure-free callables",
                 )
 

@@ -178,8 +178,8 @@ def ownership_report_paths(
     isolated: bool = False,
 ) -> dict:
     """Programmatic ``--ownership-report``: the node-ownership graph,
-    cross-node boundary edges, shared services, and candidate
-    partition-cut seams for ``paths``, as plain (JSON-able) data."""
+    cross-node boundary edges and shared services for ``paths``, as
+    plain (JSON-able) data."""
     paths = [Path(p) for p in paths]
     if config is None:
         config = LintConfig() if isolated else config_for_paths(paths)
@@ -266,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help=(
             "emit the node-ownership graph, cross-node boundary edges, and "
-            "candidate partition-cut seams instead of linting (honors "
-            "--format text/json)"
+            "shared services instead of linting (honors --format text/json)"
         ),
     )
     return parser

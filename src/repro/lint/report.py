@@ -203,7 +203,7 @@ def render_ownership_json(report: Dict[str, Any]) -> str:
 
 
 def render_ownership_text(report: Dict[str, Any]) -> str:
-    """Human-readable node-ownership graph + partition seams."""
+    """Human-readable node-ownership graph, edges and shared services."""
     lines: List[str] = []
     lines.append("# Node ownership (per-node classes)")
     for entry in report["per_node_classes"]:
@@ -237,17 +237,6 @@ def render_ownership_text(report: Dict[str, Any]) -> str:
             f"    at {service['at']}:{service['line']}, captured at "
             f"{', '.join(service['captured_at'])}"
         )
-    lines.append("")
-    lines.append("# Partition-cut seams")
-    seams = report["partition_seams"]
-    for pattern in seams["declared_touchpoints"]:
-        lines.append(f"  touchpoint: {pattern}")
-    for attr in seams["boundary_attrs_used"]:
-        lines.append(f"  boundary:   .{attr}()")
-    for name in seams["shared_services"]:
-        lines.append(f"  replicate-or-centralize: {name}")
-    for name in seams["undeclared_shared_mutable"]:
-        lines.append(f"  UNRESOLVED shared mutable: {name}")
     lines.append("")
     lines.append(f"{report['files_analyzed']} module(s) analyzed")
     return "\n".join(lines)

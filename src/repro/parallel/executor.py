@@ -10,19 +10,16 @@ Design notes
   :func:`~repro.scenarios.runner.run_scenario` -- a pure function of the
   config.  Nothing about the pool (worker identity, completion order,
   host) can leak into a result except ``wall_clock_seconds``.
-* **Pluggability**: anything with a ``map(fn, items)`` returning an
-  ordered list satisfies :class:`ExperimentExecutor`; pass an instance
-  wherever a ``jobs=`` parameter is accepted if the two bundled backends
-  do not fit (e.g. a cluster submitter).
+* **One contract**: a backend implements
+  :meth:`ExperimentExecutor.map_report`, which never raises for a failed
+  cell; :meth:`ExperimentExecutor.map` is defined once on top of it.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Callable,
@@ -30,6 +27,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Tuple,
     TypeVar,
     Union,
     cast,
@@ -47,9 +45,9 @@ _log = logging.getLogger(__name__)
 __all__ = [
     "CellFailure",
     "CellFailureError",
+    "ExecutorReport",
     "ExperimentExecutor",
     "SerialExecutor",
-    "ProcessExecutor",
     "resolve_jobs",
     "get_executor",
     "map_scenarios",
@@ -74,8 +72,8 @@ class CellFailure:
     kind: str
     #: ``TypeName: message`` of the final error observed.
     error: str
-    #: Execution attempts consumed (1 for the plain process executor;
-    #: the resilient executor counts its retries here).
+    #: Execution attempts consumed (1 for the serial executor; the
+    #: resilient executor counts its retries here).
     attempts: int = 1
 
 
@@ -102,97 +100,88 @@ class CellFailureError(Exception):
         )
 
 
+@dataclass
+class ExecutorReport:
+    """What one ``map_report`` did beyond computing results."""
+
+    #: Resubmissions that charged an attempt (exceptions, crashes, hangs).
+    retries: int = 0
+    #: Cells whose deadline expired at least once.
+    timeouts: int = 0
+    #: Attempts lost to a broken pool (worker death).
+    worker_crashes: int = 0
+    #: Times the process pool was torn down and rebuilt.
+    pool_rebuilds: int = 0
+    #: Cells that exhausted their attempts, in index order.
+    failures: List[CellFailure] = field(default_factory=list)
+
+
 class ExperimentExecutor:
-    """Interface: ``map`` a picklable function over items, in order."""
+    """Interface: run a picklable function over items, in order."""
 
     #: Worker count the backend fans out to (1 for serial).
     jobs: int = 1
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+    def map_report(
+        self,
+        fn: Callable[[T], R],
+        items: Sequence[T],
+        on_result: Optional[Callable[[int, R], None]] = None,
+    ) -> Tuple[List[Optional[R]], ExecutorReport]:
+        """Run every item; never raises for a failed cell.
+
+        Returns the ordered result list (``None`` at failed slots) plus
+        the :class:`ExecutorReport`.  ``on_result(index, result)`` fires
+        in the calling process as each cell completes -- the campaign
+        runtime journals incrementally through it.
+        """
         raise NotImplementedError
+
+    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
+        """Ordered results; raises :class:`CellFailureError` on any failure."""
+        results, report = self.map_report(fn, items)
+        if report.failures:
+            raise CellFailureError(report.failures, results)
+        return cast(List[R], results)
 
 
 class SerialExecutor(ExperimentExecutor):
-    """Run every cell in the calling process, in submission order."""
+    """Run every cell in the calling process, in submission order.
+
+    One attempt per cell: a raising cell becomes an ``"exception"``
+    :class:`CellFailure` and the remaining cells still run.
+    """
 
     jobs = 1
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        return [fn(item) for item in items]
+    def map_report(
+        self,
+        fn: Callable[[T], R],
+        items: Sequence[T],
+        on_result: Optional[Callable[[int, R], None]] = None,
+    ) -> Tuple[List[Optional[R]], ExecutorReport]:
+        report = ExecutorReport()
+        results: List[Optional[R]] = []
+        for index, item in enumerate(items):
+            try:
+                value = fn(item)
+            except Exception as exc:
+                report.failures.append(
+                    CellFailure(
+                        index=index,
+                        kind="exception",
+                        error=f"{type(exc).__name__}: {exc}",
+                    )
+                )
+                results.append(None)
+                continue
+            results.append(value)
+            if on_result is not None:
+                on_result(index, value)
+        return results, report
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<SerialExecutor>"
-
-
-class ProcessExecutor(ExperimentExecutor):
-    """Fan cells over a :class:`~concurrent.futures.ProcessPoolExecutor`.
-
-    Parameters
-    ----------
-    jobs:
-        Worker process count (>= 1).  ``jobs=1`` still goes through a
-        single worker process, which is occasionally useful to prove that
-        process isolation itself does not change results.
-
-    The pool is created per :meth:`map` call: experiment fan-outs are
-    coarse (seconds per cell), so pool start-up is noise, and the
-    short-lived pool avoids leaking workers across sweeps.
-    """
-
-    def __init__(self, jobs: int) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        items = list(items)
-        if not items:
-            return []
-        workers = min(self.jobs, len(items))
-        results: List[Optional[R]] = [None] * len(items)
-        done = [False] * len(items)
-        failures: List[CellFailure] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # One future per item (rather than pool.map) so each cell's
-            # outcome is individually observable: a raising or crashed
-            # cell becomes a CellFailure instead of destroying the whole
-            # ordered result list.  Per-item submission also keeps
-            # scheduling granular for unevenly sized cells.
-            futures = {
-                pool.submit(fn, item): index for index, item in enumerate(items)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    results[index] = future.result()
-                    done[index] = True
-                except BrokenProcessPool as exc:
-                    # A dead worker poisons every in-flight future with
-                    # this same exception; each affected cell gets its
-                    # own worker-crash record.
-                    failures.append(
-                        CellFailure(
-                            index=index,
-                            kind="worker-crash",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                except Exception as exc:
-                    failures.append(
-                        CellFailure(
-                            index=index,
-                            kind="exception",
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-        if failures:
-            failures.sort(key=lambda failure: failure.index)
-            raise CellFailureError(failures, results)
-        assert all(done), "executor lost track of a cell"
-        return cast(List[R], results)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<ProcessExecutor jobs={self.jobs}>"
 
 
 JobsSpec = Union[None, int, ExperimentExecutor]
@@ -213,23 +202,20 @@ def resolve_jobs(jobs: JobsSpec) -> int:
     return jobs
 
 
-def get_executor(
-    jobs: JobsSpec, *, force_processes: bool = False
-) -> ExperimentExecutor:
+def get_executor(jobs: JobsSpec) -> ExperimentExecutor:
     """Build (or pass through) the executor for a ``jobs=`` parameter.
 
     ``None`` and ``1`` select :class:`SerialExecutor`; any other integer
-    selects :class:`ProcessExecutor` with that many workers (``0`` and
-    negatives mean "all CPUs"); an :class:`ExperimentExecutor` instance is
-    returned as-is.
+    selects :class:`~repro.campaign.executor.ResilientProcessExecutor`
+    with that many workers (``0`` and negatives mean "all CPUs"); an
+    :class:`ExperimentExecutor` instance is returned as-is.
 
     When the request asks for more workers than the host has cores, a pool
     cannot run them in parallel -- it only adds pickling and start-up
-    overhead (on the 1-CPU CI host, ``jobs=4`` sweeps measured *slower*
-    than ``jobs=1``).  Such requests therefore fall back to
+    overhead (on a 1-CPU host, ``jobs=4`` sweeps measured *slower* than
+    ``jobs=1``).  Such requests therefore fall back to
     :class:`SerialExecutor` with a logged note; results are bit-identical
-    either way.  Pass ``force_processes=True`` to get the pool regardless
-    (tests proving process isolation does not change results need it).
+    either way.  Pass an executor instance to get a pool regardless.
     """
     if isinstance(jobs, ExperimentExecutor):
         return jobs
@@ -237,16 +223,19 @@ def get_executor(
     if count == 1:
         return SerialExecutor()
     cpus = os.cpu_count() or 1
-    if count > cpus and not force_processes:
+    if count > cpus:
         _log.info(
             "jobs=%d exceeds the %d available CPU(s); falling back to the "
-            "serial executor (results are identical; pass "
-            "force_processes=True to keep the pool)",
+            "serial executor (results are identical; pass an executor "
+            "instance to keep the pool)",
             count,
             cpus,
         )
         return SerialExecutor()
-    return ProcessExecutor(count)
+    # Imported here: the campaign package builds on this module.
+    from repro.campaign.executor import ResilientProcessExecutor
+
+    return ResilientProcessExecutor(count)
 
 
 def map_scenarios(
@@ -257,12 +246,12 @@ def map_scenarios(
     """Run :func:`~repro.scenarios.runner.run_scenario` over ``configs``.
 
     The workhorse behind every ``jobs=`` parameter in the scenario layer:
-    results come back in config order, one :class:`RunResult` each.
+    results come back in config order, one :class:`RunResult` each, on
+    the executor :func:`get_executor` picks for ``jobs``.
 
-    With ``campaign_dir`` set, execution is journaled and resumable: every
-    completed cell is persisted there atomically, cells already journaled
-    by an earlier (possibly killed) run are skipped, and worker crashes /
-    hangs are retried with backoff instead of aborting the sweep (see
+    With ``campaign_dir`` set, execution is also journaled and resumable:
+    every completed cell is persisted there atomically, and cells already
+    journaled by an earlier (possibly killed) run are skipped (see
     :mod:`repro.campaign`).  Results are bit-identical either way.
     """
     from repro.scenarios.runner import run_scenario

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.faults.plan import ChurnProcess, FaultPlan
 from repro.parallel import map_scenarios
@@ -33,6 +33,7 @@ from repro.recovery import PAPER_ALGORITHMS
 from repro.recovery.degrade import DegradationConfig
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.results import RunResult
+from repro.scenarios.sweep import sweep_algorithms
 
 __all__ = [
     "ExperimentResult",
@@ -164,45 +165,55 @@ class ExperimentResult:
 # Generic sweep driver
 # ----------------------------------------------------------------------
 def _run_curves(
-    experiment_id: str,
-    title: str,
-    x_label: str,
-    x_values: Sequence,
+    result: ExperimentResult,
+    base: SimulationConfig,
     algorithms: Sequence[str],
-    config_for: Callable[[str], SimulationConfig],
-    apply_x: Callable[[SimulationConfig], SimulationConfig],
-    metric: Callable[[RunResult], float],
+    field: Optional[str],
+    derive: Optional[Callable[[SimulationConfig, Any], SimulationConfig]],
+    metrics: Dict[str, Callable[[RunResult], float]],
     jobs=None,
     campaign_dir: Optional[str] = None,
 ) -> ExperimentResult:
-    """Run ``algorithms`` x ``x_values`` and collect ``metric`` curves.
+    """Run ``algorithms`` x ``result.x_values`` and collect metric curves.
 
-    ``config_for(algorithm)`` yields the per-algorithm base config;
-    ``apply_x(config, x)`` specializes it for one x value.  ``jobs`` fans
-    the full algorithm x value grid over worker processes (see
-    :mod:`repro.parallel`).
+    Each x value's config is ``base`` with ``field`` and ``derive``
+    applied, as in :func:`~repro.scenarios.sweep.sweep_algorithms`, and
+    ``jobs`` fans the full grid over worker processes (see
+    :mod:`repro.parallel`).  Each ``suffix: metric`` entry of ``metrics``
+    adds one curve per algorithm, named ``algorithm + suffix``.
     """
-    result = ExperimentResult(experiment_id, title, x_label, list(x_values))
-    cells = [
-        (algorithm, apply_x(config_for(algorithm), x))
-        for algorithm in algorithms
-        for x in x_values
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
+    grid = sweep_algorithms(
+        base,
+        algorithms,
+        field,
+        result.x_values,
+        derive,
+        jobs=jobs,
+        campaign_dir=campaign_dir,
     )
-    grouped: Dict[str, List[RunResult]] = {a: [] for a in algorithms}
-    for (algorithm, _config), run in zip(cells, run_results):
-        grouped[algorithm].append(run)
-    for algorithm in algorithms:
-        runs = grouped[algorithm]
-        result.curves[algorithm] = [metric(run) for run in runs]
+    for algorithm, points in grid.items():
+        runs = [point.result for point in points]
+        for suffix, metric in metrics.items():
+            result.curves[algorithm + suffix] = [metric(run) for run in runs]
         result.results[algorithm] = runs
     return result
 
 
-def _delivery(run: RunResult) -> float:
-    return run.delivery_rate
+def _buffer_for_4s(config: SimulationConfig, _n: int) -> SimulationConfig:
+    """Scale β with N so an event persists about 4 s (Figures 6 and 9a)."""
+    return config.replace(buffer_size=config.buffer_for_persistence(4.0))
+
+
+#: One delivery-rate curve per algorithm, named after the algorithm.
+_DELIVERY: Dict[str, Callable[[RunResult], float]] = {
+    "": lambda run: run.delivery_rate
+}
+#: Figure 9's two curves per algorithm: gossip messages per dispatcher
+#: and the gossip/event ratio.
+_OVERHEAD: Dict[str, Callable[[RunResult], float]] = {
+    ":msgs/disp": lambda run: run.gossip_per_dispatcher,
+    ":ratio": lambda run: run.gossip_event_ratio,
+}
 
 
 # ----------------------------------------------------------------------
@@ -293,18 +304,17 @@ def fig4_buffer_sweep(
     campaign_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Delivery vs. buffer size β (paper sweeps 500..4000)."""
-    base = base_config(seed=seed)
     return _run_curves(
-        "Fig4-top",
-        "delivery vs buffer size",
-        "beta(paper)",
-        list(paper_betas),
+        ExperimentResult(
+            "Fig4-top", "delivery vs buffer size", "beta(paper)", list(paper_betas)
+        ),
+        base_config(seed=seed),
         algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
+        None,
         lambda config, beta: config.replace(
             buffer_size=equivalent_buffer(config, beta)
         ),
-        _delivery,
+        _DELIVERY,
         jobs=jobs,
         campaign_dir=campaign_dir,
     )
@@ -318,16 +328,15 @@ def fig4_interval_sweep(
     campaign_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Delivery vs. gossip interval T (paper sweeps 0.01..0.055 s)."""
-    base = base_config(seed=seed)
     return _run_curves(
-        "Fig4-bottom",
-        "delivery vs gossip interval",
-        "T",
-        list(intervals),
+        ExperimentResult(
+            "Fig4-bottom", "delivery vs gossip interval", "T", list(intervals)
+        ),
+        base_config(seed=seed),
         algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        lambda config, interval: config.replace(gossip_interval=interval),
-        _delivery,
+        "gossip_interval",
+        None,
+        _DELIVERY,
         jobs=jobs,
         campaign_dir=campaign_dir,
     )
@@ -392,21 +401,15 @@ def fig6_scalability(
     """
     if sizes is None:
         sizes = (20, 60, 100, 140, 200) if scale_mode() == "paper" else (20, 40, 60, 80)
-    base = base_config(seed=seed).replace(n_patterns=70)
-
-    def apply_n(config: SimulationConfig, n: int) -> SimulationConfig:
-        scaled = config.replace(n_dispatchers=n)
-        return scaled.replace(buffer_size=scaled.buffer_for_persistence(4.0))
-
     return _run_curves(
-        "Fig6",
-        "delivery vs system size (Pi fixed at 70)",
-        "N",
-        list(sizes),
+        ExperimentResult(
+            "Fig6", "delivery vs system size (Pi fixed at 70)", "N", list(sizes)
+        ),
+        base_config(seed=seed).replace(n_patterns=70),
         algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        apply_n,
-        _delivery,
+        "n_dispatchers",
+        _buffer_for_4s,
+        _DELIVERY,
         jobs=jobs,
         campaign_dir=campaign_dir,
     )
@@ -490,16 +493,18 @@ def fig8_patterns_delivery(
             paper_beta = 4000
         else:
             paper_beta = 1200
-    beta = equivalent_buffer(base, paper_beta)
     return _run_curves(
-        f"Fig8-{load}",
-        f"delivery vs pi_max ({load} load, beta={paper_beta}-equivalent)",
-        "pi_max",
-        list(pi_values),
+        ExperimentResult(
+            f"Fig8-{load}",
+            f"delivery vs pi_max ({load} load, beta={paper_beta}-equivalent)",
+            "pi_max",
+            list(pi_values),
+        ),
+        base.replace(buffer_size=equivalent_buffer(base, paper_beta)),
         algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm, buffer_size=beta),
-        lambda config, pi_max: config.replace(pi_max=pi_max),
-        _delivery,
+        "pi_max",
+        None,
+        _DELIVERY,
         jobs=jobs,
         campaign_dir=campaign_dir,
     )
@@ -518,36 +523,16 @@ def fig9a_overhead_scale(
     """Gossip msgs/dispatcher (absolute) and gossip/event ratio vs N."""
     if sizes is None:
         sizes = (40, 80, 120, 160, 200) if scale_mode() == "paper" else (20, 40, 60, 80)
-    base = base_config(seed=seed).replace(n_patterns=70)
-
-    def apply_n(config: SimulationConfig, n: int) -> SimulationConfig:
-        scaled = config.replace(n_dispatchers=n)
-        return scaled.replace(buffer_size=scaled.buffer_for_persistence(4.0))
-
-    result = ExperimentResult(
-        "Fig9a", "overhead vs system size", "N", list(sizes)
+    return _run_curves(
+        ExperimentResult("Fig9a", "overhead vs system size", "N", list(sizes)),
+        base_config(seed=seed).replace(n_patterns=70),
+        algorithms,
+        "n_dispatchers",
+        _buffer_for_4s,
+        _OVERHEAD,
+        jobs=jobs,
+        campaign_dir=campaign_dir,
     )
-    cells = [
-        (algorithm, apply_n(base.replace(algorithm=algorithm), n))
-        for algorithm in algorithms
-        for n in sizes
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
-    )
-    for algorithm in algorithms:
-        runs = [
-            run for (cell_algo, _), run in zip(cells, run_results)
-            if cell_algo == algorithm
-        ]
-        result.curves[f"{algorithm}:msgs/disp"] = [
-            run.gossip_per_dispatcher for run in runs
-        ]
-        result.curves[f"{algorithm}:ratio"] = [
-            run.gossip_event_ratio for run in runs
-        ]
-        result.results[algorithm] = runs
-    return result
 
 
 def fig9b_overhead_patterns(
@@ -559,34 +544,21 @@ def fig9b_overhead_patterns(
 ) -> ExperimentResult:
     """Gossip msgs/dispatcher and gossip/event ratio vs πmax."""
     base = base_config(seed=seed)
-    beta = equivalent_buffer(base, 4000)
-    result = ExperimentResult(
-        "Fig9b", "overhead vs subscriptions per dispatcher", "pi_max", list(pi_values)
+    return _run_curves(
+        ExperimentResult(
+            "Fig9b",
+            "overhead vs subscriptions per dispatcher",
+            "pi_max",
+            list(pi_values),
+        ),
+        base.replace(buffer_size=equivalent_buffer(base, 4000)),
+        algorithms,
+        "pi_max",
+        None,
+        _OVERHEAD,
+        jobs=jobs,
+        campaign_dir=campaign_dir,
     )
-    cells = [
-        (
-            algorithm,
-            base.replace(algorithm=algorithm, pi_max=pi_max, buffer_size=beta),
-        )
-        for algorithm in algorithms
-        for pi_max in pi_values
-    ]
-    run_results = map_scenarios(
-        [config for _, config in cells], jobs=jobs, campaign_dir=campaign_dir
-    )
-    for algorithm in algorithms:
-        runs = [
-            run for (cell_algo, _), run in zip(cells, run_results)
-            if cell_algo == algorithm
-        ]
-        result.curves[f"{algorithm}:msgs/disp"] = [
-            run.gossip_per_dispatcher for run in runs
-        ]
-        result.curves[f"{algorithm}:ratio"] = [
-            run.gossip_event_ratio for run in runs
-        ]
-        result.results[algorithm] = runs
-    return result
 
 
 # ----------------------------------------------------------------------
@@ -606,16 +578,18 @@ def fig10_overhead_error_rate(
     a small fraction of push's traffic, because rounds with an empty Lost
     buffer are skipped while push gossips unconditionally.
     """
-    base = base_config(load=load, seed=seed)
     return _run_curves(
-        f"Fig10-{load}",
-        f"overhead vs error rate ({load} load)",
-        "eps",
-        list(error_rates),
+        ExperimentResult(
+            f"Fig10-{load}",
+            f"overhead vs error rate ({load} load)",
+            "eps",
+            list(error_rates),
+        ),
+        base_config(load=load, seed=seed),
         algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
-        lambda config, eps: config.replace(error_rate=eps),
-        lambda run: run.gossip_per_dispatcher,
+        "error_rate",
+        None,
+        {"": lambda run: run.gossip_per_dispatcher},
         jobs=jobs,
         campaign_dir=campaign_dir,
     )
@@ -789,15 +763,18 @@ def figX_churn_delivery(
         return config.replace(faults=plan, degradation=DegradationConfig())
 
     return _run_curves(
-        "FigX-churn",
-        f"delivery under node churn (eps={error_rate}, "
-        f"downtime={mean_downtime}s)",
-        "crashes/s",
-        list(churn_rates),
+        ExperimentResult(
+            "FigX-churn",
+            f"delivery under node churn (eps={error_rate}, "
+            f"downtime={mean_downtime}s)",
+            "crashes/s",
+            list(churn_rates),
+        ),
+        base,
         algorithms,
-        lambda algorithm: base.replace(algorithm=algorithm),
+        None,
         apply_rate,
-        _delivery,
+        _DELIVERY,
         jobs=jobs,
         campaign_dir=campaign_dir,
     )

@@ -8,6 +8,8 @@ Every cell of a sweep is independent, so both helpers accept ``jobs``:
 ``jobs=1`` (default) runs serially in process, ``jobs=N`` fans the cells
 over N worker processes via :mod:`repro.parallel`, with bit-identical
 results in the same order (only ``wall_clock_seconds`` differs).
+:mod:`repro.scenarios.experiments` builds every algorithm x value figure
+grid with :func:`sweep_algorithms`.
 """
 
 from __future__ import annotations
@@ -41,14 +43,15 @@ class SweepPoint:
 
 def _sweep_configs(
     base: SimulationConfig,
-    field: str,
+    field: Optional[str],
     values: Sequence[Any],
     derive: Optional[Callable[[SimulationConfig, Any], SimulationConfig]],
 ) -> List[SimulationConfig]:
-    """The per-value configs of one sweep, in value order."""
+    """The per-value configs of one sweep, in value order: ``field`` (when
+    given) set to each value, then ``derive`` (when given) applied."""
     configs = []
     for value in values:
-        config = base.replace(**{field: value})
+        config = base if field is None else base.replace(**{field: value})
         if derive is not None:
             config = derive(config, value)
         configs.append(config)
@@ -90,16 +93,19 @@ def sweep_algorithms(
 ) -> Dict[str, List[SweepPoint]]:
     """Cross a sweep with a set of algorithms: ``{algorithm: [points]}``.
 
-    With no ``field`` each algorithm runs once at the base configuration
-    (``x`` is then ``None``).  The *whole* cross product is fanned over
-    ``jobs`` workers at once, so four algorithms saturate four cores even
-    when each sweeps only a few values.  ``campaign_dir`` makes the grid
-    journaled and resumable (see :mod:`repro.campaign`).
+    ``field`` and ``derive`` build each value's config as in
+    :func:`sweep`; either may be left out (the experiments whose x is not
+    a config field, such as a paper β or a churn rate, pass ``derive``
+    alone).  With neither, each algorithm runs once at the base
+    configuration (``x`` is then ``None``).  The *whole* cross product is
+    fanned over ``jobs`` workers at once, so four algorithms saturate four
+    cores even when each sweeps only a few values.  ``campaign_dir`` makes
+    the grid journaled and resumable (see :mod:`repro.campaign`).
     """
     cells: List[Tuple[str, Any, SimulationConfig]] = []
     for algorithm in algorithms:
         algo_base = base.replace(algorithm=algorithm)
-        if field is None:
+        if field is None and derive is None:
             cells.append((algorithm, None, algo_base))
         else:
             for value, config in zip(

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.parallel.executor as executor_module
+import repro.scenarios.runner as runner_module
 from repro.campaign.chaos import ChaosEvent, ChaosExecutor
+from repro.campaign.executor import ResilientProcessExecutor
 from repro.campaign.journal import CampaignJournal
 from repro.campaign.runtime import run_campaign
-from repro.parallel.executor import CellFailureError
+from repro.parallel.executor import CellFailure, CellFailureError, SerialExecutor
 from repro.parallel import map_scenarios
 
 from tests.campaign.conftest import tiny_grid
@@ -61,6 +64,46 @@ class TestSerialResume:
         assert (
             outcome.results[0].signature() == outcome.results[2].signature()
         )
+
+
+    def test_serial_failure_is_quarantined_then_superseded(
+        self, tmp_path, monkeypatch, reference_results
+    ):
+        # In process, a raising cell gets exactly one attempt: it is
+        # quarantined with a failed/ record while its siblings journal.
+        configs = tiny_grid()
+        real_run = runner_module.run_scenario
+
+        def run_or_raise(config):
+            if config.seed == 2:
+                raise RuntimeError("scripted failure")
+            return real_run(config)
+
+        monkeypatch.setattr(runner_module, "run_scenario", run_or_raise)
+        broken = run_campaign(configs, tmp_path)
+        assert broken.report.failures == [
+            CellFailure(
+                index=1,
+                kind="exception",
+                error="RuntimeError: scripted failure",
+                attempts=1,
+            )
+        ]
+        assert broken.report.retries == 0
+        assert broken.results[1] is None
+        journal = CampaignJournal(tmp_path)
+        [record] = journal.failures().values()
+        assert record["kind"] == "exception"
+        assert record["attempts"] == 1
+        assert len(journal.load()) == 3
+
+        monkeypatch.undo()
+        resumed = run_campaign(configs, tmp_path)
+        assert resumed.report.skipped == 3
+        assert resumed.report.executed == 1
+        assert resumed.report.failures == []
+        assert signatures(resumed.results) == signatures(reference_results)
+        assert journal.failures() == {}
 
 
 class TestChaosEquivalence:
@@ -169,3 +212,26 @@ class TestMapScenariosRouting:
         assert signatures(second) == signatures(first)
         # Second call was served from the journal: still exactly 2 cells.
         assert len(CampaignJournal(tmp_path).load()) == 2
+
+    def test_oversubscribed_campaign_runs_serially(
+        self, tmp_path, monkeypatch, reference_results
+    ):
+        # jobs above the core count picks the serial executor for a
+        # campaign exactly as it does without one.
+        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 2)
+        used = []
+        serial_map_report = SerialExecutor.map_report
+
+        def spy(self, fn, items, on_result=None):
+            used.append(type(self).__name__)
+            return serial_map_report(self, fn, items, on_result)
+
+        def no_pool(self, fn, items, on_result=None):
+            raise AssertionError("an oversubscribed campaign spawned a pool")
+
+        monkeypatch.setattr(SerialExecutor, "map_report", spy)
+        monkeypatch.setattr(ResilientProcessExecutor, "map_report", no_pool)
+        configs = tiny_grid(2)
+        results = map_scenarios(configs, jobs=4, campaign_dir=tmp_path)
+        assert used == ["SerialExecutor"]
+        assert signatures(results) == signatures(reference_results[:2])

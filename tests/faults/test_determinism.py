@@ -26,7 +26,8 @@ from repro.faults import (
     PartitionProcess,
     scripted_crashes,
 )
-from repro.parallel import ProcessExecutor, map_scenarios
+from repro.campaign.executor import ResilientProcessExecutor
+from repro.parallel import map_scenarios
 from repro.recovery.degrade import DegradationConfig
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.runner import run_scenario
@@ -107,7 +108,7 @@ class TestFaultedDeterminism:
             FAULTED_CONFIG.replace(faults=None, degradation=None),
         ]
         serial = map_scenarios(configs, jobs=1)
-        fanned = map_scenarios(configs, jobs=ProcessExecutor(4))
+        fanned = map_scenarios(configs, jobs=ResilientProcessExecutor(4))
         for left, right in zip(serial, fanned):
             assert left.signature() == right.signature()
 

@@ -25,6 +25,7 @@ BAD_EXPECTATIONS = [
     ("rep103_bad.py", "REP103", 2),  # random.Random + numpy.random
     ("rep104_bad.py", "REP104", 2),  # lambda + nested def
     ("rep104_partial_bad.py", "REP104", 3),  # partial of each of those
+    ("rep104_map_report_bad.py", "REP104", 2),  # pool + get_executor
     ("rep105_bad.py", "REP105", 2),  # missing super().__init__ + bad hook
 ]
 
@@ -74,7 +75,7 @@ def test_whole_fixture_directory_counts():
         "REP101": 1,
         "REP102": 1,
         "REP103": 2,
-        "REP104": 5,
+        "REP104": 7,
         "REP105": 2,
     }
 

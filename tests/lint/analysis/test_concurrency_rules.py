@@ -157,10 +157,11 @@ def test_ownership_report_json_is_structured():
     assert owners["proto_own_clean.Agent"]["inbox"] == "node-local"
     assert owners["proto_shared.Node"]["registry"] == "shared"
     assert owners["proto_payload.Tether"]["engine"] == "engine"
-    seams = payload["partition_seams"]
-    assert seams["undeclared_shared_mutable"] == ["proto_shared.Registry"]
-    assert seams["shared_services"] == ["proto_shared.DeclaredBoard"]
-    assert set(seams["boundary_attrs_used"]) == {"send", "schedule"}
+    assert "partition_seams" not in payload
+    services = {s["object"]: s for s in payload["shared_services"]}
+    registry = services["proto_shared.Registry"]
+    assert registry["mutated"] and not registry["declared"]
+    assert services["proto_shared.DeclaredBoard"]["declared"]
     kinds = {edge["kind"] for edge in payload["cross_node_edges"]}
     assert kinds == {"send", "schedule"}
 
@@ -205,14 +206,16 @@ def test_cli_ownership_report_round_trips_toml_config(tmp_path, capsys):
     assert [s["object"] for s in declared] == ["proto_shared.DeclaredBoard"]
 
 
-def test_cli_ownership_report_text_lists_seams(tmp_path, capsys):
+def test_cli_ownership_report_text_lists_sections(tmp_path, capsys):
     for source in OWN.glob("*.py"):
         shutil.copy(source, tmp_path / source.name)
     exit_code = main(["--ownership-report", "--isolated", str(tmp_path)])
     out = capsys.readouterr().out
     assert exit_code == 0
     assert "# Node ownership" in out
-    assert "# Partition-cut seams" in out
+    assert "# Cross-node edges" in out
+    assert "# Shared services" in out
+    assert "# Partition-cut seams" not in out
     assert "module(s) analyzed" in out
 
 

@@ -1,10 +1,10 @@
 """REP104 fixture: unpicklable callables submitted to an executor."""
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ResilientProcessExecutor
 
 
 def run_all(scenarios):
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     # BAD: a lambda cannot be pickled into the worker processes.
     return executor.map(lambda scenario: scenario, scenarios)
 
@@ -13,6 +13,6 @@ def run_nested(scenarios):
     def run_one(scenario):
         return scenario
 
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     # BAD: nested function — the workers cannot import it by name.
     return executor.map(run_one, scenarios)

@@ -8,11 +8,11 @@ the kind of callable REP104 exists to reject.
 import functools
 from functools import partial
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ResilientProcessExecutor
 
 
 def run_lambda(scenarios):
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     # BAD: the wrapped lambda is just as unpicklable as a bare one.
     return executor.map(partial(lambda scenario: scenario, 1), scenarios)
 
@@ -21,14 +21,14 @@ def run_nested(scenarios):
     def run_one(scenario, scale):
         return scenario
 
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     # BAD: partial of a nested function -- workers cannot import it.
     return executor.map(functools.partial(run_one, scale=2), scenarios)
 
 
 class Driver:
     def run_bound(self, scenarios):
-        executor = ProcessExecutor(2)
+        executor = ResilientProcessExecutor(2)
         # BAD: partial of a bound method drags ``self`` into the pickle.
         return executor.map(partial(self.step, 1), scenarios)
 

@@ -9,7 +9,7 @@ it would be a false positive.
 import functools
 from functools import partial
 
-from repro.parallel.executor import ProcessExecutor
+from repro.campaign.executor import ResilientProcessExecutor
 
 
 def run_one(scenario, scale=1):
@@ -17,16 +17,16 @@ def run_one(scenario, scale=1):
 
 
 def run_all(scenarios):
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     return executor.map(partial(run_one, scale=2), scenarios)
 
 
 def run_all_qualified(scenarios):
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     return executor.map(functools.partial(run_one, scale=3), scenarios)
 
 
 def run_all_nested_partial(scenarios):
-    executor = ProcessExecutor(2)
+    executor = ResilientProcessExecutor(2)
     # Even a partial of a partial bottoms out at a module-level function.
     return executor.map(partial(partial(run_one, scale=4)), scenarios)

@@ -8,7 +8,7 @@ Any divergence means pool state leaked into a result.
 
 from __future__ import annotations
 
-from repro.parallel import ProcessExecutor
+from repro.campaign.executor import ResilientProcessExecutor
 from repro.scenarios.config import SimulationConfig
 from repro.scenarios.replication import run_replications
 from repro.scenarios.results import RunResult
@@ -37,7 +37,9 @@ def _signatures(points):
 def test_sweep_parallel_matches_serial():
     base = _base_config()
     serial = sweep(base, "error_rate", [0.05, 0.1, 0.15], jobs=1)
-    fanned = sweep(base, "error_rate", [0.05, 0.1, 0.15], jobs=ProcessExecutor(4))
+    fanned = sweep(
+        base, "error_rate", [0.05, 0.1, 0.15], jobs=ResilientProcessExecutor(4)
+    )
     assert [p.x for p in serial] == [p.x for p in fanned]
     assert _signatures(serial) == _signatures(fanned)
 
@@ -46,7 +48,7 @@ def test_sweep_algorithms_parallel_matches_serial():
     base = _base_config()
     algorithms = ["subscriber-pull", "random-push"]
     serial = sweep_algorithms(base, algorithms, jobs=1)
-    fanned = sweep_algorithms(base, algorithms, jobs=ProcessExecutor(4))
+    fanned = sweep_algorithms(base, algorithms, jobs=ResilientProcessExecutor(4))
     assert list(serial) == list(fanned)
     for algorithm in algorithms:
         assert _signatures(serial[algorithm]) == _signatures(fanned[algorithm])
@@ -56,7 +58,9 @@ def test_run_replications_parallel_matches_serial():
     base = _base_config()
     seeds = [1, 2, 3, 4]
     serial = run_replications(base, seeds, metric=None, jobs=1)
-    fanned = run_replications(base, seeds, metric=None, jobs=ProcessExecutor(4))
+    fanned = run_replications(
+        base, seeds, metric=None, jobs=ResilientProcessExecutor(4)
+    )
     assert [r.signature() for r in serial] == [r.signature() for r in fanned]
 
 
@@ -64,7 +68,7 @@ def test_run_replications_summary_matches_serial():
     base = _base_config()
     seeds = [1, 2, 3]
     serial = run_replications(base, seeds, jobs=1)
-    fanned = run_replications(base, seeds, jobs=ProcessExecutor(4))
+    fanned = run_replications(base, seeds, jobs=ResilientProcessExecutor(4))
     assert serial == fanned  # frozen dataclass: full metric equality
 
 

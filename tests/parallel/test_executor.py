@@ -6,9 +6,12 @@ import os
 
 import pytest
 
+from repro.campaign.executor import ResilientProcessExecutor
 from repro.parallel import (
+    CellFailure,
+    CellFailureError,
+    ExecutorReport,
     ExperimentExecutor,
-    ProcessExecutor,
     SerialExecutor,
     get_executor,
     resolve_jobs,
@@ -20,6 +23,12 @@ def _square(x: int) -> int:
     return x * x
 
 
+def _square_except_three(x: int) -> int:
+    if x == 3:
+        raise ValueError("three")
+    return x * x
+
+
 def test_serial_map_preserves_order():
     assert SerialExecutor().map(_square, [3, 1, 2]) == [9, 1, 4]
 
@@ -28,21 +37,45 @@ def test_serial_map_empty():
     assert SerialExecutor().map(_square, []) == []
 
 
+def test_serial_map_report_quarantines_a_raising_cell():
+    seen = []
+    results, report = SerialExecutor().map_report(
+        _square_except_three,
+        [2, 3, 4],
+        on_result=lambda index, value: seen.append((index, value)),
+    )
+    # One attempt, no retry; the cells after the failure still run.
+    assert results == [4, None, 16]
+    assert seen == [(0, 4), (2, 16)]
+    assert report.failures == [
+        CellFailure(index=1, kind="exception", error="ValueError: three")
+    ]
+    assert report.failures[0].attempts == 1
+    assert report.retries == 0
+
+
+def test_serial_map_raises_with_partial_results():
+    with pytest.raises(CellFailureError) as caught:
+        SerialExecutor().map(_square_except_three, [3, 5])
+    assert caught.value.results == [None, 25]
+    assert [f.index for f in caught.value.failures] == [0]
+
+
 def test_process_map_preserves_order():
-    assert ProcessExecutor(2).map(_square, list(range(8))) == [
+    assert ResilientProcessExecutor(2).map(_square, list(range(8))) == [
         x * x for x in range(8)
     ]
 
 
 def test_process_map_empty_skips_pool():
-    assert ProcessExecutor(2).map(_square, []) == []
+    assert ResilientProcessExecutor(2).map(_square, []) == []
 
 
 def test_process_rejects_nonpositive_jobs():
     with pytest.raises(ValueError):
-        ProcessExecutor(0)
+        ResilientProcessExecutor(0)
     with pytest.raises(ValueError):
-        ProcessExecutor(-3)
+        ResilientProcessExecutor(-3)
 
 
 def test_resolve_jobs():
@@ -50,17 +83,24 @@ def test_resolve_jobs():
     assert resolve_jobs(1) == 1
     assert resolve_jobs(5) == 5
     assert resolve_jobs(SerialExecutor()) == 1
-    assert resolve_jobs(ProcessExecutor(3)) == 3
+    assert resolve_jobs(ResilientProcessExecutor(3)) == 3
     assert resolve_jobs(0) == (os.cpu_count() or 1)
     assert resolve_jobs(-1) == (os.cpu_count() or 1)
 
 
-def test_get_executor_selection():
+def test_get_executor_selection(monkeypatch):
+    import repro.parallel.executor as executor_module
+
+    monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 4)
     assert isinstance(get_executor(None), SerialExecutor)
     assert isinstance(get_executor(1), SerialExecutor)
-    process = get_executor(4, force_processes=True)
-    assert isinstance(process, ProcessExecutor)
+    process = get_executor(4)
+    assert isinstance(process, ResilientProcessExecutor)
     assert process.jobs == 4
+    # The pool keeps its defaults: retries on, hung-worker detection off.
+    assert process.max_retries == 2
+    assert process.cell_timeout is None
+    assert get_executor(0).jobs == 4
 
 
 def test_get_executor_falls_back_to_serial_when_oversubscribed(
@@ -74,25 +114,26 @@ def test_get_executor_falls_back_to_serial_when_oversubscribed(
     assert isinstance(fallback, SerialExecutor)
     assert any("falling back" in record.message for record in caplog.records)
     # At or below the core count, the pool is still used.
-    assert isinstance(get_executor(2), ProcessExecutor)
+    assert isinstance(get_executor(2), ResilientProcessExecutor)
 
 
-def test_get_executor_force_processes_overrides_fallback(monkeypatch):
+def test_get_executor_instance_keeps_pool_when_oversubscribed(monkeypatch):
     import repro.parallel.executor as executor_module
 
     monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 1)
-    forced = get_executor(4, force_processes=True)
-    assert isinstance(forced, ProcessExecutor)
-    assert forced.jobs == 4
+    pool = ResilientProcessExecutor(4)
+    assert get_executor(pool) is pool
 
 
 def test_get_executor_passes_instances_through():
     class Custom(ExperimentExecutor):
         jobs = 7
 
-        def map(self, fn, items):
-            return [fn(item) for item in items]
+        def map_report(self, fn, items, on_result=None):
+            return [fn(item) for item in items], ExecutorReport()
 
     custom = Custom()
     assert get_executor(custom) is custom
     assert resolve_jobs(custom) == 7
+    # ``map`` comes from the interface, on top of ``map_report``.
+    assert custom.map(_square, [2, 3]) == [4, 9]

@@ -53,6 +53,16 @@ class TestSweepAlgorithms:
         assert len(results["push"]) == 2
         assert all(isinstance(p, SweepPoint) for p in results["push"])
 
+    def test_derive_alone_sets_each_value(self):
+        results = sweep_algorithms(
+            TINY,
+            ["none"],
+            values=[10, 20],
+            derive=lambda config, beta: config.replace(buffer_size=beta * 2),
+        )
+        assert [p.x for p in results["none"]] == [10, 20]
+        assert [p.result.config.buffer_size for p in results["none"]] == [20, 40]
+
     def test_no_field_runs_base_once(self):
         results = sweep_algorithms(TINY, ["none"])
         assert len(results["none"]) == 1
